@@ -111,10 +111,7 @@ class TracerouteCampaign:
         for destination_asn, as_path in sorted(as_paths.items()):
             if len(as_path) < 2:
                 continue
-            try:
-                destination_ip = self.simulator.destination_ip_for(destination_asn)
-            except Exception:  # pragma: no cover - every AS originates prefixes
-                continue
+            destination_ip = self.simulator.destination_ip_for(destination_asn)
             paths.append(self.simulator.traceroute_along(as_path, destination_ip))
         return paths
 

@@ -54,25 +54,33 @@ class EdgeRealization:
 
 
 class ASGraph:
-    """Adjacency structure over ASNs with per-edge realizations."""
+    """Adjacency structure over ASNs with per-edge realizations.
+
+    The graph is frozen after construction: every AS's neighbours are kept
+    as one sorted tuple, the order route selection explores them in.  IXP
+    full meshes are not materialised edge by edge; an IXP realization of
+    ``(a, b)`` exists exactly when both ASes are active members of that IXP,
+    so those realizations are derived from per-AS membership sets on demand.
+    """
 
     def __init__(self, world: World) -> None:
         self.world = world
-        self._neighbours: dict[int, set[int]] = defaultdict(set)
+        self._adjacency: dict[int, tuple[int, ...]] = {}
+        #: Transit and private realizations only; IXP ones are derived.
         self._realizations: dict[tuple[int, int], list[EdgeRealization]] = defaultdict(list)
+        self._ixps_of: dict[int, set[str]] = defaultdict(set)
         self._build()
 
     # ------------------------------------------------------------------ #
     def _add_edge(self, a: int, b: int, realization: EdgeRealization) -> None:
-        self._neighbours[a].add(b)
-        self._neighbours[b].add(a)
         self._realizations[(a, b)].append(realization)
         self._realizations[(b, a)].append(realization)
 
     def _build(self) -> None:
+        neighbours: dict[int, set[int]] = defaultdict(set)
         relationships = self.world.relationships
         for asn in self.world.ases:
-            self._neighbours.setdefault(asn, set())
+            neighbours.setdefault(asn, set())
             for provider in relationships.providers_of(asn):
                 self._add_edge(asn, provider, EdgeRealization(kind=RealizationKind.TRANSIT))
         for index, link in enumerate(self.world.private_links):
@@ -81,39 +89,49 @@ class ASGraph:
                 link.asn_b,
                 EdgeRealization(kind=RealizationKind.PRIVATE, private_link_index=index),
             )
+        for a, b in self._realizations:
+            neighbours[a].add(b)
         for ixp_id in self.world.ixps:
-            members = self.world.active_memberships(ixp_id)
-            asns = sorted({m.asn for m in members})
-            for i, a in enumerate(asns):
-                for b in asns[i + 1:]:
-                    self._add_edge(
-                        a, b, EdgeRealization(kind=RealizationKind.IXP, ixp_id=ixp_id)
-                    )
+            members = {m.asn for m in self.world.active_memberships(ixp_id)}
+            for asn in members:
+                self._ixps_of[asn].add(ixp_id)
+                neighbours[asn] |= members - {asn}
+        self._adjacency = {asn: tuple(sorted(adjacent)) for asn, adjacent in neighbours.items()}
 
     # ------------------------------------------------------------------ #
     def neighbours(self, asn: int) -> list[int]:
         """Neighbours of an AS in deterministic (sorted) order."""
-        return sorted(self._neighbours.get(asn, set()))
+        return list(self._adjacency.get(asn, ()))
 
     def realizations(self, a: int, b: int) -> list[EdgeRealization]:
-        """All realizations of the edge between two adjacent ASes."""
-        return list(self._realizations.get((a, b), []))
+        """All realizations of the edge between two adjacent ASes.
+
+        Transit edges come first, then private links in ``world.private_links``
+        order, then one IXP realization per common IXP in ``world.ixps`` order.
+        """
+        common = self._common(a, b)
+        return self._realizations.get((a, b), []) + [
+            EdgeRealization(kind=RealizationKind.IXP, ixp_id=ixp_id)
+            for ixp_id in self.world.ixps if ixp_id in common
+        ]
 
     def common_ixps(self, a: int, b: int) -> list[str]:
         """IXPs at which both ASes are active members."""
-        return sorted(
-            r.ixp_id for r in self._realizations.get((a, b), [])
-            if r.kind is RealizationKind.IXP and r.ixp_id is not None
-        )
+        return sorted(self._common(a, b))
 
     def has_edge(self, a: int, b: int) -> bool:
         """True if the two ASes are adjacent in any way."""
-        return b in self._neighbours.get(a, set())
+        return b in self._adjacency.get(a, ())
 
     @property
     def edge_count(self) -> int:
         """Number of undirected AS-level edges."""
-        return sum(len(v) for v in self._neighbours.values()) // 2
+        return sum(len(v) for v in self._adjacency.values()) // 2
+
+    def _common(self, a: int, b: int) -> set[str]:
+        if a == b:
+            return set()
+        return self._ixps_of.get(a, set()) & self._ixps_of.get(b, set())
 
 
 class RouteSelector:
@@ -136,7 +154,7 @@ class RouteSelector:
             raise RoutingError(f"unknown destination AS{destination_asn}")
         if source_asn == destination_asn:
             return [source_asn]
-        parents = self._bfs_tree(source_asn, stop_at=destination_asn)
+        parents = self._bfs_tree(source_asn, {destination_asn})
         if destination_asn not in parents:
             raise RoutingError(f"no path from AS{source_asn} to AS{destination_asn}")
         return self._walk_back(parents, source_asn, destination_asn)
@@ -144,13 +162,13 @@ class RouteSelector:
     def paths_from(self, source_asn: int, destinations: list[int]) -> dict[int, list[int]]:
         """AS paths from one source towards many destinations.
 
-        Runs a single breadth-first search and extracts every reachable
-        destination, which is how the traceroute campaign keeps large
-        fan-outs affordable.
+        Runs a single breadth-first search, stopped once every destination
+        is discovered, and extracts every reachable destination, which is how
+        the traceroute campaign keeps large fan-outs affordable.
         """
         if source_asn not in self.graph.world.ases:
             raise RoutingError(f"unknown source AS{source_asn}")
-        parents = self._bfs_tree(source_asn, stop_at=None)
+        parents = self._bfs_tree(source_asn, set(destinations))
         result: dict[int, list[int]] = {}
         for destination in destinations:
             if destination == source_asn:
@@ -160,19 +178,27 @@ class RouteSelector:
         return result
 
     # ------------------------------------------------------------------ #
-    def _bfs_tree(self, source_asn: int, stop_at: int | None) -> dict[int, int]:
-        parents: dict[int, int] = {}
-        visited = {source_asn}
+    def _bfs_tree(self, source_asn: int, targets: set[int]) -> dict[int, int]:
+        """Breadth-first parent links from the source until every target is found.
+
+        A discovered node's parent never changes, so stopping early yields the
+        same paths to the targets as exploring the whole graph.
+        """
+        adjacency = self.graph._adjacency
+        remaining = targets - {source_asn}
+        # The source maps to itself: it marks the root as visited.
+        parents: dict[int, int] = {source_asn: source_asn}
         queue: deque[int] = deque([source_asn])
-        while queue:
+        while queue and remaining:
             current = queue.popleft()
-            for neighbour in self.graph.neighbours(current):
-                if neighbour in visited:
+            for neighbour in adjacency.get(current, ()):
+                if neighbour in parents:
                     continue
-                visited.add(neighbour)
                 parents[neighbour] = current
-                if stop_at is not None and neighbour == stop_at:
-                    return parents
+                if neighbour in remaining:
+                    remaining.discard(neighbour)
+                    if not remaining:
+                        return parents
                 queue.append(neighbour)
         return parents
 

@@ -21,17 +21,24 @@ All per-hop geometry goes through a world-level
 deliberately separate from the observed-dataset
 :class:`~repro.geo.distindex.GeoDistanceIndex` the inference side uses): the
 same inter-facility legs recur across every path of a corpus, so each
-distance is computed once per world instead of once per hop.
+distance is computed once per world instead of once per hop.  The other
+world-derived lookups (backbone address per router, first router and
+destination address per AS, the realization options of each AS pair) are
+tables built once per simulator, since the ground-truth world never mutates
+after generation.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 from repro.exceptions import RoutingError
 from repro.geo.delay_model import DelayModel
 from repro.geo.worldindex import WorldDistanceIndex
+from repro.netindex import LPMIndex
 from repro.routing.bgp import ASGraph, EdgeRealization, RealizationKind, RouteSelector
 from repro.topology.entities import InterfaceKind, IXPMembership, Router
 from repro.topology.world import World
@@ -82,6 +89,15 @@ class ForwardingPath:
         return [hop for hop in self.hops if hop.ip is not None]
 
 
+class _EdgeOptions(NamedTuple):
+    """The realizations of one AS pair, split by kind, plus their common IXPs."""
+
+    ixp: list[EdgeRealization]
+    private: list[EdgeRealization]
+    transit: list[EdgeRealization]
+    common_ixps: list[str]
+
+
 class ForwardingSimulator:
     """Builds IP-level paths for AS-level routes."""
 
@@ -112,6 +128,22 @@ class ForwardingSimulator:
         for membership in world.memberships:
             if membership.departed_month is None:
                 self._memberships_by_as_ixp[(membership.asn, membership.ixp_id)] = membership
+        # Tables over the immutable world, built once and read by every path.
+        self._backbone_ips: dict[str, str | None] = {
+            router_id: self._find_backbone_ip(router)
+            for router_id, router in world.routers.items()
+        }
+        self._first_routers: dict[int, Router] = {}
+        for router in world.routers.values():
+            self._first_routers.setdefault(router.asn, router)
+        self._destination_ips: dict[int, str] = {}
+        for prefix, asn in world.routed_prefixes.items():
+            if asn not in self._destination_ips:
+                octets = prefix.split("/")[0].split(".")
+                octets[-1] = "1"
+                self._destination_ips[asn] = ".".join(octets)
+        #: Realization options per AS pair, filled on first use of the pair.
+        self._edge_options: dict[tuple[int, int], _EdgeOptions] = {}
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -130,47 +162,56 @@ class ForwardingSimulator:
 
     def destination_ip_for(self, asn: int) -> str:
         """A pingable address inside the first routed prefix of an AS."""
-        prefixes = self.world.prefixes_of_as(asn)
-        if not prefixes:
-            raise RoutingError(f"AS{asn} originates no prefixes")
-        network = prefixes[0]
-        base = network.split("/")[0]
-        octets = base.split(".")
-        octets[-1] = "1"
-        return ".".join(octets)
+        try:
+            return self._destination_ips[asn]
+        except KeyError:
+            raise RoutingError(f"AS{asn} originates no prefixes") from None
 
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _asn_for_destination(self, destination_ip: str) -> int:
-        import ipaddress
+    @cached_property
+    def _asn_by_prefix(self) -> LPMIndex[int]:
+        """Longest-prefix-match index over the routed prefixes (first lookup builds it)."""
+        return LPMIndex(self.world.routed_prefixes)
 
-        address = ipaddress.ip_address(destination_ip)
-        for prefix, asn in self.world.routed_prefixes.items():
-            if address in ipaddress.ip_network(prefix):
-                return asn
-        raise RoutingError(f"destination {destination_ip} is not in any routed prefix")
+    def _asn_for_destination(self, destination_ip: str) -> int:
+        """Origin AS of the most specific routed prefix covering the address."""
+        asn = self._asn_by_prefix.lookup(destination_ip)
+        if asn is None:
+            raise RoutingError(f"destination {destination_ip} is not in any routed prefix")
+        return asn
 
     def _first_router(self, asn: int) -> Router:
-        routers = self.world.routers_of_as(asn)
-        if not routers:
-            raise RoutingError(f"AS{asn} has no routers")
-        return routers[0]
+        try:
+            return self._first_routers[asn]
+        except KeyError:
+            raise RoutingError(f"AS{asn} has no routers") from None
 
-    def _backbone_ip(self, router: Router) -> str | None:
+    def _find_backbone_ip(self, router: Router) -> str | None:
         for ip in router.interface_ips:
             interface = self.world.interfaces.get(ip)
             if interface is not None and interface.kind is InterfaceKind.BACKBONE:
                 return ip
         return None
 
-    def _choose_realization(self, a: int, b: int) -> EdgeRealization:
-        realizations = self.graph.realizations(a, b)
-        if not realizations:
-            raise RoutingError(f"AS{a} and AS{b} are not adjacent")
-        ixp_options = [r for r in realizations if r.kind is RealizationKind.IXP]
-        private_options = [r for r in realizations if r.kind is RealizationKind.PRIVATE]
-        transit_options = [r for r in realizations if r.kind is RealizationKind.TRANSIT]
+    def _options(self, a: int, b: int) -> _EdgeOptions:
+        options = self._edge_options.get((a, b))
+        if options is None:
+            realizations = self.graph.realizations(a, b)
+            if not realizations:
+                raise RoutingError(f"AS{a} and AS{b} are not adjacent")
+            options = _EdgeOptions(
+                [r for r in realizations if r.kind is RealizationKind.IXP],
+                [r for r in realizations if r.kind is RealizationKind.PRIVATE],
+                [r for r in realizations if r.kind is RealizationKind.TRANSIT],
+                self.graph.common_ixps(a, b),
+            )
+            self._edge_options[(a, b)] = options
+        return options
+
+    def _choose_realization(self, options: _EdgeOptions) -> EdgeRealization:
+        ixp_options, private_options, transit_options, _ = options
         if ixp_options and (not (private_options or transit_options)
                             or self._rng.random() < self.ixp_preference):
             return self._rng.choice(ixp_options)
@@ -205,46 +246,52 @@ class ForwardingSimulator:
         )
         current_router = self._first_router(source_asn)
         cumulative_km = 0.0
+        # Per-hop work reads locals: one RTT sample, then one loss draw for
+        # an answering hop, exactly in that order.
+        hops = path.hops
+        rng = self._rng
+        sample_rtt_ms = self.delay_model.sample_rtt_ms
+        hop_loss_rate = self.hop_loss_rate
+        backbone_ips = self._backbone_ips
+        memberships = self._memberships_by_as_ixp
+        router = self.world.router
+        facility_pair_km = self.world_index.facility_pair_km
 
-        def emit(ip: str | None, asn: int | None, *, is_ixp: bool = False,
+        def emit(ip: str | None, asn: int | None, is_ixp: bool = False,
                  ixp_id: str | None = None) -> None:
-            nonlocal cumulative_km
-            rtt = self.delay_model.sample_rtt_ms(cumulative_km, self._rng, jitter_ms=0.4)
-            if ip is not None and self._rng.random() < self.hop_loss_rate:
+            rtt = sample_rtt_ms(cumulative_km, rng, jitter_ms=0.4)
+            if ip is not None and rng.random() < hop_loss_rate:
                 ip = None
-            path.hops.append(
-                ForwardingHop(ip=ip, asn=asn, rtt_ms=rtt, is_ixp_lan=is_ixp, ixp_id=ixp_id)
-            )
+            hops.append(ForwardingHop(ip, asn, rtt, is_ixp, ixp_id))
 
-        def move_to(router: Router) -> None:
+        def move_to(next_router: Router) -> None:
             nonlocal current_router, cumulative_km
             # Same-facility moves contribute exactly 0 km, as the per-call
             # geodesic on identical coordinates always did.
-            if router.facility_id != current_router.facility_id:
-                cumulative_km += self.world_index.facility_pair_km(
-                    current_router.facility_id, router.facility_id)
-            current_router = router
+            if next_router.facility_id != current_router.facility_id:
+                cumulative_km += facility_pair_km(
+                    current_router.facility_id, next_router.facility_id)
+            current_router = next_router
 
         # First hop: the source border router answering from a backbone interface.
-        emit(self._backbone_ip(current_router), source_asn)
+        emit(backbone_ips[current_router.router_id], source_asn)
 
         for position in range(len(as_path) - 1):
             here, there = as_path[position], as_path[position + 1]
-            realization = self._choose_realization(here, there)
+            options = self._options(here, there)
+            realization = self._choose_realization(options)
 
             if realization.kind is RealizationKind.IXP:
-                candidates = self.graph.common_ixps(here, there)
-                ixp_id = self._choose_ixp(current_router.facility_id, here, candidates)
-                exit_membership = self._memberships_by_as_ixp[(here, ixp_id)]
-                exit_router = self.world.router(exit_membership.router_id)
+                ixp_id = self._choose_ixp(current_router.facility_id, here, options.common_ixps)
+                exit_router = router(memberships[(here, ixp_id)].router_id)
                 if exit_router.router_id != current_router.router_id:
                     move_to(exit_router)
-                    emit(self._backbone_ip(exit_router), here)
-                entry_membership = self._memberships_by_as_ixp[(there, ixp_id)]
-                entry_router = self.world.router(entry_membership.router_id)
+                    emit(backbone_ips[exit_router.router_id], here)
+                entry_membership = memberships[(there, ixp_id)]
+                entry_router = router(entry_membership.router_id)
                 move_to(entry_router)
-                emit(entry_membership.interface_ip, there, is_ixp=True, ixp_id=ixp_id)
-                emit(self._backbone_ip(entry_router), there)
+                emit(entry_membership.interface_ip, there, True, ixp_id)
+                emit(backbone_ips[entry_router.router_id], there)
             elif realization.kind is RealizationKind.PRIVATE:
                 link = self.world.private_links[realization.private_link_index]
                 if link.asn_a == here:
@@ -253,18 +300,18 @@ class ForwardingSimulator:
                 else:
                     exit_router_id, entry_router_id = link.router_b, link.router_a
                     entry_ip = link.interface_a
-                exit_router = self.world.router(exit_router_id)
+                exit_router = router(exit_router_id)
                 if exit_router.router_id != current_router.router_id:
                     move_to(exit_router)
-                    emit(self._backbone_ip(exit_router), here)
-                entry_router = self.world.router(entry_router_id)
+                    emit(backbone_ips[exit_router.router_id], here)
+                entry_router = router(entry_router_id)
                 move_to(entry_router)
                 emit(entry_ip, there)
-                emit(self._backbone_ip(entry_router), there)
+                emit(backbone_ips[entry_router.router_id], there)
             else:  # transit
                 entry_router = self._first_router(there)
                 move_to(entry_router)
-                emit(self._backbone_ip(entry_router), there)
+                emit(backbone_ips[entry_router.router_id], there)
 
         # Final hop: the destination address itself.
         emit(destination_ip, destination_asn)

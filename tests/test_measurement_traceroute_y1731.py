@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.config import CampaignConfig
-from repro.exceptions import MeasurementError, VantagePointError
+from repro.config import CampaignConfig, GeneratorConfig
+from repro.exceptions import MeasurementError, RoutingError, VantagePointError
 from repro.measurement.periscope import PeriscopeClient
 from repro.measurement.traceroute import TracerouteCampaign
 from repro.measurement.vantage import VantagePointKind, VantagePointPlanner
 from repro.measurement.y1731 import Y1731Monitor
+from repro.topology.generator import WorldGenerator
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +33,18 @@ class TestTracerouteCampaign:
     def test_requires_ixps(self, tiny_world):
         with pytest.raises(MeasurementError):
             TracerouteCampaign(tiny_world).run_public_corpus([])
+
+    def test_destination_without_prefixes_fails_loudly(self):
+        # A reachable destination AS that originates nothing is an error,
+        # not a silently skipped traceroute.
+        world = WorldGenerator(GeneratorConfig.tiny(seed=7)).generate()
+        probe = next(asn for asn in sorted(world.ases) if world.relationships.providers_of(asn))
+        destination = min(world.relationships.providers_of(probe))
+        for prefix in world.prefixes_of_as(destination):
+            del world.routed_prefixes[prefix]
+        world.reindex()
+        with pytest.raises(RoutingError, match="originates no prefixes"):
+            TracerouteCampaign(world).run_pairs([(probe, destination)])
 
     def test_run_pairs_traces_requested_sources(self, tiny_world):
         campaign = TracerouteCampaign(tiny_world, CampaignConfig())

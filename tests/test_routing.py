@@ -1,13 +1,16 @@
 """Unit tests for the AS graph, route selection and forwarding expansion."""
 
+import ipaddress
 import random
 
 import pytest
 
+from repro.config import GeneratorConfig
 from repro.exceptions import RoutingError
 from repro.routing.bgp import ASGraph, RealizationKind, RouteSelector
 from repro.routing.forwarding import ForwardingSimulator
 from repro.topology.entities import InterfaceKind
+from repro.topology.generator import WorldGenerator
 
 
 @pytest.fixture(scope="module")
@@ -149,3 +152,51 @@ class TestForwarding:
         if first_hop.ip is not None:
             interface = tiny_world.interfaces[first_hop.ip]
             assert interface.kind in (InterfaceKind.BACKBONE, InterfaceKind.PRIVATE_PEERING)
+
+    def test_destination_lookup_is_longest_prefix_match(self):
+        # A more-specific prefix from another origin, registered after the
+        # prefix covering it, must win: the traceroute ends in its origin AS.
+        world = WorldGenerator(GeneratorConfig.tiny(seed=7)).generate()
+        covering, owner = next(iter(world.routed_prefixes.items()))
+        network = ipaddress.ip_network(covering)
+        more_specific = list(network.subnets(new_prefix=network.prefixlen + 4))[-1]
+        origin = next(asn for asn in sorted(world.ases)
+                      if asn != owner and world.routers_of_as(asn))
+        world.routed_prefixes[str(more_specific)] = origin
+        world.reindex()
+        simulator = ForwardingSimulator(world, rng=random.Random(5))
+        source = next(asn for asn in sorted(world.ases) if asn not in (owner, origin))
+
+        inside = str(more_specific.network_address + 1)
+        assert simulator.traceroute(source, inside).destination_asn == origin
+        outside = str(network.network_address + 1)
+        assert simulator.traceroute(source, outside).destination_asn == owner
+
+    def test_unrouted_destination_rejected(self, simulator):
+        with pytest.raises(RoutingError):
+            simulator.traceroute(next(iter(simulator.world.ases)), "203.0.113.1")
+
+
+class TestASGraphStructure:
+    def test_neighbours_are_sorted_and_symmetric(self, graph, tiny_world):
+        for asn in tiny_world.ases:
+            neighbours = graph.neighbours(asn)
+            assert isinstance(neighbours, list)
+            assert neighbours == sorted(set(neighbours))
+            assert all(graph.has_edge(other, asn) for other in neighbours)
+
+    def test_ixp_realizations_follow_membership(self, graph, tiny_world):
+        members: dict[str, set[int]] = {
+            ixp_id: {m.asn for m in tiny_world.active_memberships(ixp_id)}
+            for ixp_id in tiny_world.ixps
+        }
+        ixp = tiny_world.largest_ixps(1)[0]
+        asns = sorted(members[ixp.ixp_id])
+        for a in asns[:6]:
+            for b in asns[:6]:
+                expected = [i for i in tiny_world.ixps
+                            if a != b and a in members[i] and b in members[i]]
+                ixp_realizations = [r.ixp_id for r in graph.realizations(a, b)
+                                    if r.kind is RealizationKind.IXP]
+                assert ixp_realizations == expected
+                assert graph.common_ixps(a, b) == sorted(expected)
