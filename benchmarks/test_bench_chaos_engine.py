@@ -7,7 +7,7 @@ hung task still *completes* — within a bounded wall-clock envelope — and
 its outcome is bit-identical to the fault-free serial schedule.  The
 envelope matters because recovery is useful only if it converges promptly:
 a crash costs one pool rebuild, a hang costs at most ``task_timeout_s``
-plus the demoted rerun, and nothing waits on the 60-second sleep the hung
+plus the demoted serial rerun, and nothing waits on the 60-second sleep the hung
 worker was given.
 """
 
@@ -33,7 +33,7 @@ MAX_CHAOS_SECONDS = TASK_TIMEOUT_S + 30.0
 
 @pytest.fixture(scope="module")
 def chaos_study():
-    """A small dedicated study (the chaos-smoke CI job runs only this file)."""
+    """A small dedicated study, so the chaos runs share no engine state."""
     return RemotePeeringStudy(ExperimentConfig.tiny(seed=7))
 
 
@@ -42,7 +42,7 @@ def chaos_reference(chaos_study):
     """The fault-free serial outcome every chaos run must reproduce."""
     engine = PipelineEngine(
         chaos_study.inputs, delay_model=chaos_study.delay_model,
-        geo_index=chaos_study.geo_index, executor="serial")
+        geo_index=chaos_study.geo_index)
     return engine.run(
         chaos_study.config.inference, chaos_study.studied_ixp_ids)
 
@@ -50,7 +50,7 @@ def chaos_reference(chaos_study):
 def _chaos_engine(study, plan):
     return PipelineEngine(
         study.inputs, delay_model=study.delay_model,
-        geo_index=study.geo_index, executor="process", max_workers=2,
+        geo_index=study.geo_index, max_workers=2,
         fault_plan=plan, task_timeout_s=TASK_TIMEOUT_S, sleep=lambda _s: None)
 
 

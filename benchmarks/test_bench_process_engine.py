@@ -1,12 +1,14 @@
 """Benchmarks for the process executor (true parallelism across IXPs).
 
-The per-IXP chains (Steps 1-3 + baseline) are CPU-bound Python, so the
-thread executor is GIL-serialised and buys nothing on them; the process
-executor ships each chain to a worker that owns a serial engine and a
-prebuilt geometry shard.  These benchmarks pin the two claims of the seam:
-every executor produces a bit-identical ``PipelineOutcome``, and on a
-multi-core box the process executor beats threads by >=2x on the CPU-bound
-multi-IXP phase.
+The per-IXP chains (Steps 1-3 + baseline) are CPU-bound Python; with
+``max_workers > 1`` the engine ships each chain to a worker process that
+owns a serial engine and a prebuilt geometry shard.  These benchmarks pin
+the two claims of the seam: the process schedule produces a
+``PipelineOutcome`` bit-identical to the serial one, and on a multi-core
+box it beats the serial schedule (``max_workers=None``, the simplest
+alternative) by >=2x on the CPU-bound multi-IXP phase.  A failure of that
+bound on a box with 4 or more cores is evidence that the process executor
+does not pay for itself, not a reason to lower the bound.
 
 The timed workload isolates that phase deliberately: a paper-shaped world
 with a dense vantage-point campaign and a minimal traceroute corpus, the
@@ -16,7 +18,7 @@ corpus-scale sweeps actually spend their time.  The >=2x bar is pinned on
 the engine's ``per_ixp_map`` phase clock: that phase is the entire unit
 the executor seam schedules (for processes it includes dispatch, IPC and
 absorbing the shipped deltas into the parent cache), while the downstream
-outcome assembly is identical serial work under every executor and is
+outcome assembly is identical serial work under both schedules and is
 covered by the equivalence tests instead.  The equivalence test keeps
 every step enabled.
 """
@@ -66,13 +68,12 @@ def fanout_study():
     return RemotePeeringStudy(config)
 
 
-def _fresh_engine(study, executor, max_workers):
+def _fresh_engine(study, max_workers):
     return PipelineEngine(
         study.inputs,
         delay_model=study.delay_model,
         geo_index=study.geo_index,
         max_workers=max_workers,
-        executor=executor,
     )
 
 
@@ -80,21 +81,21 @@ class TestProcessExecutorEquivalence:
     def test_every_executor_is_bit_identical_on_the_fanout_study(
         self, fanout_study
     ):
-        """Full pipeline (all steps enabled): serial == thread == process."""
+        """Full pipeline (all steps enabled): serial == process."""
         config = fanout_study.config.inference
         ixp_ids = fanout_study.studied_ixp_ids
 
-        serial = _fresh_engine(fanout_study, "serial", None)
+        serial = _fresh_engine(fanout_study, None)
         reference = serial.run(config, ixp_ids)
         assert reference.report.inferred()
 
-        for executor in ("thread", "process"):
-            engine = _fresh_engine(fanout_study, executor, 2)
-            try:
-                outcome = engine.run(config, ixp_ids)
-            finally:
-                engine.shutdown()
-            assert outcome == reference, executor
+        engine = _fresh_engine(fanout_study, 2)
+        try:
+            outcome = engine.run(config, ixp_ids)
+        finally:
+            engine.shutdown()
+        assert engine.executor_stats()["executor"] == "process"
+        assert outcome == reference
 
 
 class TestProcessExecutorThroughput:
@@ -102,11 +103,11 @@ class TestProcessExecutorThroughput:
         len(os.sched_getaffinity(0)) < MIN_CORES,
         reason=f"needs >= {MIN_CORES} cores to demonstrate process parallelism",
     )
-    def test_process_is_2x_faster_than_threads_on_cpu_bound_fanout(
+    def test_process_is_2x_faster_than_serial_on_cpu_bound_fanout(
         self, fanout_study
     ):
         ixp_ids = fanout_study.studied_ixp_ids
-        # Steps 4-5 are global (serial under every executor); disabling them
+        # Steps 4-5 are global (serial under both schedules); disabling them
         # keeps the timed region the multi-IXP fan-out itself.
         base = replace(
             fanout_study.config.inference,
@@ -117,15 +118,16 @@ class TestProcessExecutorThroughput:
         # (Steps 2-3 + baseline) chains to recompute per IXP while the
         # traceroute scan stays cache-served.
         offsets = iter(range(1, 1 + 2 * ROUNDS * VARIANTS_PER_ROUND))
-        map_timings = {"thread": [], "process": []}
-        run_timings = {"thread": [], "process": []}
+        map_timings = {"serial": [], "process": []}
+        run_timings = {"serial": [], "process": []}
 
-        for executor in ("thread", "process"):
-            engine = _fresh_engine(fanout_study, executor, WORKERS)
+        for executor, max_workers in (("serial", None), ("process", WORKERS)):
+            engine = _fresh_engine(fanout_study, max_workers)
             try:
                 # Warm run: creates the persistent pool, initialises the
                 # workers (geometry prebuild) and fills the config-stable
-                # cache nodes; later runs measure only the fan-out.
+                # cache nodes (the serial engine warms the same caches);
+                # later runs measure only the fan-out.
                 engine.run(base, ixp_ids)
                 gc.collect()
                 gc.disable()
@@ -155,22 +157,22 @@ class TestProcessExecutorThroughput:
                 engine.shutdown()
 
         map_ratios = [
-            thread_elapsed / process_elapsed
-            for thread_elapsed, process_elapsed in zip(
-                map_timings["thread"], map_timings["process"])
+            serial_elapsed / process_elapsed
+            for serial_elapsed, process_elapsed in zip(
+                map_timings["serial"], map_timings["process"])
         ]
         run_ratios = [
-            thread_elapsed / process_elapsed
-            for thread_elapsed, process_elapsed in zip(
-                run_timings["thread"], run_timings["process"])
+            serial_elapsed / process_elapsed
+            for serial_elapsed, process_elapsed in zip(
+                run_timings["serial"], run_timings["process"])
         ]
         # The parallelised phase itself must win by >=2x, and the win must
-        # survive the (executor-invariant) serial assembly end to end.
+        # survive the (schedule-invariant) serial assembly end to end.
         assert max(map_ratios) >= 2.0, (
-            f"thread/process per-IXP map ratios: {map_ratios} "
+            f"serial/process per-IXP map ratios: {map_ratios} "
             f"(whole runs: {run_ratios})")
         assert max(run_ratios) > 1.0, (
-            f"thread/process whole-run ratios: {run_ratios}")
+            f"serial/process whole-run ratios: {run_ratios}")
 
 
 class TestProcessExecutorSweepEquivalence:
@@ -182,8 +184,8 @@ class TestProcessExecutorSweepEquivalence:
             replace(base, rtt_baseline_threshold_ms=base.rtt_baseline_threshold_ms + dt)
             for dt in (0.0, 0.25)
         ]
-        serial = _fresh_engine(fanout_study, "serial", None)
-        process = _fresh_engine(fanout_study, "process", 2)
+        serial = _fresh_engine(fanout_study, None)
+        process = _fresh_engine(fanout_study, 2)
         try:
             for variant in variants:
                 assert process.run(variant, ixp_ids) == serial.run(

@@ -1,10 +1,10 @@
-"""Rule family 5: determinism lint over the engine-adjacent modules.
+"""Rule family 4: determinism lint over the engine-adjacent modules.
 
 The step-graph engine's whole value proposition is that a cache hit is a
 proof of reusability and a parallel schedule is bit-identical to the serial
 one.  Both proofs assume the computations themselves are deterministic:
 results must not depend on wall-clock time, process-lifetime randomness,
-hash-order of sets, object identity, or thread completion order.  This rule
+hash-order of sets, object identity, or task completion order.  This rule
 flags the syntactic shapes that break that assumption inside the modules the
 engine executes (``repro.core``, ``repro.geo``, ``repro.netindex``, and the
 resilience layer ``repro.resilience`` minus its deliberately-exempt fault
@@ -49,8 +49,7 @@ from repro.contracts.tree import ModuleInfo, SourceTree, walk_scope
 #: The module prefixes (under the analyzed package) the rule covers.
 DETERMINISM_SCOPES: tuple[str, ...] = ("core", "geo", "netindex", "resilience")
 
-#: Modules inside the scopes that the rule deliberately skips, the same
-#: escape hatch the mutation rule grants ``contracts.dynconc``: the fault
+#: Modules inside the scopes that the rule deliberately skips: the fault
 #: injection harness *is* the fault — its job is to call ``os._exit`` and
 #: ``time.sleep`` on a deterministically planned schedule — so flagging
 #: those calls would force a waiver for behaviour that is the module's
@@ -218,7 +217,7 @@ class _ModuleScan:
                     node,
                     "completion-ordered-merge",
                     "as_completed",
-                    "as_completed() yields results in thread completion "
+                    "as_completed() yields results in task completion "
                     "order, which is scheduling-dependent; merge with the "
                     "order-preserving executor.map instead",
                     qual,
@@ -263,7 +262,7 @@ class _ModuleScan:
 
 
 def check_determinism(tree: SourceTree) -> list[Violation]:
-    """Run rule family 5 over a source tree."""
+    """Run rule family 4 over a source tree."""
     violations: list[Violation] = []
     prefixes = tuple(f"{tree.package}.{scope}" for scope in DETERMINISM_SCOPES)
     exempt = tuple(f"{tree.package}.{suffix}" for suffix in _EXEMPT_MODULES)

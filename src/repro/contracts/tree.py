@@ -239,11 +239,6 @@ class SourceTree:
         ]
 
     # ------------------------------------------------------------------ #
-    def class_named(self, name: str) -> ClassInfo | None:
-        """The unique class of that name, or ``None`` if absent/ambiguous."""
-        definitions = self.classes_by_name.get(name, [])
-        return definitions[0] if len(definitions) == 1 else None
-
     def module_for(self, path: Path) -> ModuleInfo | None:
         """The parsed module at an absolute path, if part of the tree."""
         for info in self.modules.values():

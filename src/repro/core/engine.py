@@ -15,9 +15,9 @@ names, as data (:data:`STEP_GRAPH`):
 * its **outputs** (what the node contributes to the final
   :class:`PipelineOutcome`);
 * its **scope** — ``PER_IXP`` nodes are independent across IXPs (Steps 1-3
-  and the RTT baseline) and can be scheduled concurrently; ``GLOBAL`` nodes
-  see the whole studied set (the traceroute observables and Steps 4/5, whose
-  multi-IXP routers and private adjacencies span IXPs).
+  and the RTT baseline) and can be shipped to a process pool; ``GLOBAL``
+  nodes see the whole studied set (the traceroute observables and Steps
+  4/5, whose multi-IXP routers and private adjacencies span IXPs).
 
 Every node also names, as data, the **dataset domains and inputs-bundle
 members it reads** (``data_domains`` / ``data_inputs``) — the versioning
@@ -81,15 +81,9 @@ import sys
 import time
 import warnings
 from collections import OrderedDict
-from concurrent.futures import (
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field, fields, is_dataclass
-from threading import Lock
 from typing import Any, Callable, NamedTuple, Sequence, cast
 
 from repro.config import InferenceConfig, config_fingerprint
@@ -207,16 +201,6 @@ class StepSpec:
         enters the node's cache key — ``"ping_result"``, ``"corpus"`` and/or
         ``"prefix2as"``.  The alias resolver is world-backed and immutable,
         so no node declares it.
-    thread_confined:
-        Class names whose instances, inside this node's call graph, are
-        **confined to the computing thread** — fresh objects built per
-        compute (the recording report, the per-IXP campaign summary) that
-        the node mutates freely without locks.  This is a *contract* checked
-        by the concurrency rule (:mod:`repro.contracts.concurrency`): writes
-        to instances of any *other* shared class must be lock-guarded, and a
-        declared class the node never mutates is itself a finding (the
-        declaration must not drift from the code).  Only meaningful on
-        ``PER_IXP`` nodes — ``GLOBAL`` nodes run serially.
     """
 
     name: str
@@ -227,7 +211,6 @@ class StepSpec:
     studied_set_sensitive: bool = True
     data_domains: tuple[str, ...] = ()
     data_inputs: tuple[str, ...] = ()
-    thread_confined: tuple[str, ...] = ()
 
 
 #: The declared step graph, in the paper's execution order (Section 5.2).
@@ -239,7 +222,6 @@ STEP_GRAPH: tuple[StepSpec, ...] = (
         requires=(),
         provides=("report_delta",),
         data_domains=(DOMAIN_INTERFACES, DOMAIN_CAPACITIES),
-        thread_confined=("InferenceReport",),
     ),
     StepSpec(
         name="step2",
@@ -261,7 +243,6 @@ STEP_GRAPH: tuple[StepSpec, ...] = (
             DOMAIN_AS_FACILITIES,
             DOMAIN_FACILITY_LOCATIONS,
         ),
-        thread_confined=("InferenceReport",),
     ),
     StepSpec(
         name="traceroute",
@@ -310,7 +291,6 @@ STEP_GRAPH: tuple[StepSpec, ...] = (
         requires=("step2",),
         provides=("baseline_report",),
         data_domains=(DOMAIN_INTERFACES,),
-        thread_confined=("InferenceReport",),
     ),
 )
 
@@ -324,6 +304,22 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
+
+
+def _check_positive(name: str, value: float | None, *, integral: bool) -> None:
+    """Reject a bad optional engine budget eagerly, with a typed error.
+
+    ``None`` means unset.  Anything else must be a positive ``int`` (when
+    ``integral``) or a positive ``int``/``float`` — never a ``bool``, which
+    Python would otherwise accept as ``1``.
+    """
+    if value is None:
+        return
+    kinds: tuple[type, ...] = (int,) if integral else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds) or not value > 0:
+        kind = "int" if integral else "number"
+        raise InferenceError(
+            f"{name} must be a positive {kind} or None, got {value!r}")
 
 
 def _estimate_size(value: object, _seen: set[int] | None = None) -> int:
@@ -371,10 +367,7 @@ class StepResultCache:
     holds, and evictions are tallied per step label in :attr:`stats` (an
     evicted entry is charged to the label that inserted it).  Byte
     accounting uses a rough deep-size estimate computed once per insert.
-
-    Thread-safe for the engine's per-IXP thread pool: lookups and inserts are
-    serialised by a lock; concurrent misses on the same key compute
-    duplicates (idempotent by construction) and keep the first stored value.
+    A budget must be a positive int (or ``None`` for unbounded).
     """
 
     def __init__(
@@ -383,9 +376,10 @@ class StepResultCache:
         max_entries: int | None = None,
         max_bytes: int | None = None,
     ) -> None:
+        _check_positive("cache_max_entries", max_entries, integral=True)
+        _check_positive("cache_max_bytes", max_bytes, integral=True)
         # key -> (value, label, byte estimate); ordered oldest-used first.
         self._entries: OrderedDict[str, tuple[object, str, int]] = OrderedDict()
-        self._lock = Lock()
         self.stats: dict[str, CacheStats] = {}
         self.max_entries = max_entries
         self.max_bytes = max_bytes
@@ -393,25 +387,19 @@ class StepResultCache:
 
     def get_or_compute(self, label: str, key: str, compute: Callable[[], object]) -> object:
         """The cached value for ``key``, computing (and storing) it if absent."""
-        with self._lock:
-            stats = self.stats.setdefault(label, CacheStats())
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                stats.hits += 1
-                return entry[0]
+        stats = self.stats.setdefault(label, CacheStats())
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+            stats.hits += 1
+            return entry[0]
         value = compute()
         size = _estimate_size(value) if self.max_bytes is not None else 0
-        with self._lock:
-            stats.misses += 1
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                return entry[0]
-            self._entries[key] = (value, label, size)
-            self.total_bytes += size
-            self._evict_over_budget()
-            return value
+        stats.misses += 1
+        self._entries[key] = (value, label, size)
+        self.total_bytes += size
+        self._evict_over_budget()
+        return value
 
     def peek(self, key: str) -> tuple[bool, object]:
         """``(present, value)`` for ``key`` without computing on a miss.
@@ -421,15 +409,14 @@ class StepResultCache:
         which IXPs still need worker trips, and those probes would otherwise
         distort the per-step accounting.
         """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return (False, None)
-            self._entries.move_to_end(key)
-            return (True, entry[0])
+        entry = self._entries.get(key)
+        if entry is None:
+            return (False, None)
+        self._entries.move_to_end(key)
+        return (True, entry[0])
 
     def _evict_over_budget(self) -> None:
-        """Drop least-recently-used entries until the budget holds (locked).
+        """Drop least-recently-used entries until the budget holds.
 
         The most recently inserted entry is never evicted: a single result
         larger than the whole byte budget must still be returned (and is
@@ -445,24 +432,22 @@ class StepResultCache:
 
     def eviction_stats(self) -> dict[str, object]:
         """Budget/eviction accounting snapshot (entries, bytes, per-label)."""
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "total_bytes": self.total_bytes,
-                "max_entries": self.max_entries,
-                "max_bytes": self.max_bytes,
-                "evictions": sum(s.evictions for s in self.stats.values()),
-                "evictions_by_step": {
-                    label: s.evictions for label, s in self.stats.items() if s.evictions
-                },
-            }
+        return {
+            "entries": len(self._entries),
+            "total_bytes": self.total_bytes,
+            "max_entries": self.max_entries,
+            "max_bytes": self.max_bytes,
+            "evictions": sum(s.evictions for s in self.stats.values()),
+            "evictions_by_step": {
+                label: s.evictions for label, s in self.stats.items() if s.evictions
+            },
+        }
 
     def clear(self) -> None:
         """Drop every entry (required if the inputs were mutated directly)."""
-        with self._lock:
-            self._entries.clear()
-            self.stats.clear()
-            self.total_bytes = 0
+        self._entries.clear()
+        self.stats.clear()
+        self.total_bytes = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -560,10 +545,6 @@ class _KeyResolver:
         self._inputs = inputs
         self._memo: dict[tuple[str, str | None], str] = {}
         self._data_tokens: dict[str, tuple[object, object]] = {}
-        # One resolver is shared by every thread of a run's per-IXP pool;
-        # only the memo stores need serialising (a duplicated digest is
-        # idempotent, the lock just keeps the dict fills race-free).
-        self._lock = Lock()
 
     def _data_token(self, spec: StepSpec) -> tuple[object, object]:
         """The version stamps of everything the node declared it reads."""
@@ -580,8 +561,7 @@ class _KeyResolver:
                     for name in spec.data_inputs
                 ),
             )
-            with self._lock:
-                self._data_tokens[spec.name] = token
+            self._data_tokens[spec.name] = token
         return token
 
     def key(self, name: str, ixp_id: str | None = None) -> str:
@@ -606,9 +586,7 @@ class _KeyResolver:
         fingerprint = config_fingerprint(self._config, spec.config_fields)
         payload = repr((name, scope_token, fingerprint, self._data_token(spec), parents))
         digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-        # key() recurses into parents outside the lock; only the store needs it.
-        with self._lock:
-            self._memo[memo_key] = digest
+        self._memo[memo_key] = digest
         return digest
 
 
@@ -634,21 +612,21 @@ class PipelineEngine:
     :class:`~repro.core.pipeline.RemotePeeringPipeline` are thin layers on
     top of :meth:`run`.
 
-    ``max_workers`` plus ``executor`` schedule the per-IXP nodes (Steps 1-3
-    and the baseline).  ``executor="thread"`` (the default) runs them on a
-    persistent :class:`ThreadPoolExecutor`; Steps 1-3 are independent across
-    IXPs and every shared structure they touch (the dataset views, the geo
-    index and delay-model memos, the cache) tolerates concurrent lazy fills,
-    so results are identical to the serial schedule.  ``executor="process"``
-    ships each pending IXP's chain to a persistent
-    :class:`ProcessPoolExecutor` whose workers hold a pickled snapshot of
-    the inputs (true CPU parallelism past the GIL); the replayable report
-    deltas the chain returns are plain picklable tuples, and the parent
-    stores them under the very cache keys the serial schedule would have
-    used, merging in deterministic monolithic order — so outcomes stay
-    bit-identical.  ``executor="serial"`` ignores ``max_workers``.
+    An engine is **single-threaded**: one thread drives it, and nothing in
+    it (the cache, the dataset views, the geo index and delay-model memos)
+    is locked.  A host that wants concurrency runs one engine per process.
 
-    Pools are created lazily, reused across runs (:meth:`executor_stats`
+    ``max_workers`` alone picks how the per-IXP nodes (Steps 1-3 and the
+    baseline) are scheduled.  ``None`` or ``1`` runs them inline (serial).
+    ``max_workers > 1`` ships each pending IXP's chain to a persistent
+    :class:`ProcessPoolExecutor` whose workers hold a pickled snapshot of
+    the inputs; workers share no memory with the parent, and the parent
+    absorbs their results on its own thread.  The replayable report deltas
+    a chain returns are plain picklable tuples, and the parent stores them
+    under the very cache keys the serial schedule would have used, merging
+    in deterministic monolithic order — so outcomes stay bit-identical.
+
+    The pool is created lazily, reused across runs (:meth:`executor_stats`
     counts reuses) and released by :meth:`shutdown` (the engine is also a
     context manager).  A journalled inputs
     revision recreates the process pool on the next run — the workers'
@@ -665,10 +643,10 @@ class PipelineEngine:
     task that keeps killing workers exhausts the policy
     (:class:`WorkerCrashError`) instead of looping.  ``task_timeout_s``
     bounds every result wait; a timeout retires the hung pool and demotes
-    the *current run* one rung down the cascade ``process -> thread ->
-    serial`` (``ExecutorDegradedWarning`` — the next run starts back at
-    the configured executor), or raises :class:`TaskTimeoutError` once the
-    task's attempts are spent.  Every decision is journalled as a typed
+    the *current run* down the cascade ``process -> serial``
+    (``ExecutorDegradedWarning`` — the next run starts back on the process
+    pool), or raises :class:`TaskTimeoutError` once the task's attempts
+    are spent.  Every decision is journalled as a typed
     :class:`~repro.resilience.ResilienceEvent` surfaced by
     :meth:`executor_stats` / :meth:`resilience_events`; nothing is silent.
     Retried and demoted chains store through the same fingerprint keys and
@@ -676,6 +654,11 @@ class PipelineEngine:
     outcome stays bit-identical to the fault-free serial schedule.
     ``fault_plan`` injects deterministic faults (crashes, exceptions,
     pickling failures, hangs) for replayable chaos runs.
+
+    Every budget is validated when the engine is built: ``max_workers``,
+    ``cache_max_entries`` and ``cache_max_bytes`` must be positive ints
+    and ``task_timeout_s`` a positive number (or ``None``); anything else
+    raises :class:`InferenceError`.
     """
 
     def __init__(
@@ -688,7 +671,6 @@ class PipelineEngine:
         cache_max_entries: int | None = None,
         cache_max_bytes: int | None = None,
         max_workers: int | None = None,
-        executor: str = "thread",
         clock: Callable[[], float] = time.perf_counter,
         retry_policy: RetryPolicy | None = None,
         task_timeout_s: float | None = None,
@@ -709,38 +691,25 @@ class PipelineEngine:
             raise InferenceError(
                 "cache budgets must be set on the shared cache itself")
         self.cache = cache
-        if executor not in ("serial", "thread", "process"):
-            raise InferenceError(
-                f"unknown executor {executor!r}; "
-                "expected 'serial', 'thread' or 'process'")
-        self.executor = executor
-        # Eager validation: a bad worker count must fail here, loudly, not
-        # as a late pool failure deep inside the first parallel run.
-        if max_workers is not None and (
-                isinstance(max_workers, bool)
-                or not isinstance(max_workers, int)
-                or max_workers < 1):
-            raise InferenceError(
-                f"max_workers must be a positive int or None, "
-                f"got {max_workers!r}")
+        # Eager validation: a bad worker count or timeout must fail here,
+        # loudly, not as a late pool failure deep inside the first run.
+        _check_positive("max_workers", max_workers, integral=True)
+        _check_positive("task_timeout_s", task_timeout_s, integral=False)
         self.max_workers = max_workers
-        if task_timeout_s is not None and not task_timeout_s > 0:
-            raise InferenceError(
-                f"task_timeout_s must be positive, got {task_timeout_s!r}")
+        #: The per-IXP schedule ``max_workers`` selects.
+        self.executor = (
+            "process" if max_workers is not None and max_workers > 1 else "serial")
         self.retry_policy = (
             retry_policy if retry_policy is not None else RetryPolicy())
         self.task_timeout_s = task_timeout_s
         self.fault_plan = fault_plan
         # The backoff sleeper is injected like the phase clock: the engine
-        # never calls time.sleep itself (contracts rule 5), and tests can
+        # never calls time.sleep itself (contracts rule 4), and tests can
         # record the deterministic schedule instead of waiting it out.
         self._sleep = sleep
         self._resilience = ResilienceLog()
-        # Persistent per-engine pools (the former pool-per-run churn is a
-        # counted non-event now): created lazily by the first parallel run,
-        # reused by every later one, released by shutdown().  All pool
-        # state is guarded by _pool_lock.
-        self._thread_pool: ThreadPoolExecutor | None = None
+        # A persistent per-engine pool: created lazily by the first parallel
+        # run, reused by every later one, released by shutdown().
         self._process_pool: ProcessPoolExecutor | None = None
         self._process_inputs_token: object | None = None
         # Pools abandoned by crash recovery or timeout demotion: already
@@ -749,23 +718,19 @@ class PipelineEngine:
         self._retired_pools: list[ProcessPoolExecutor] = []
         self._pools_created = 0
         self._pool_reuses = 0
-        self._pool_lock = Lock()
-        # Cumulative wall-clock per run phase (seconds), accumulated under
-        # _pool_lock so concurrent runs on a shared engine stay consistent.
-        # "per_ixp_map" is the schedulable fan-out the executor seam
-        # parallelises; "run" is the whole of run() including the serial
-        # global nodes and outcome assembly.  The clock is injected (not
-        # called as time.perf_counter inline) so the accounting is pure
-        # telemetry: no step result depends on it, and determinism-sensitive
-        # harnesses can pass a stub.
+        # Cumulative wall-clock per run phase (seconds).  "per_ixp_map" is
+        # the schedulable fan-out the process pool parallelises; "run" is
+        # the whole of run() including the serial global nodes and outcome
+        # assembly.  The clock is injected (not called as time.perf_counter
+        # inline) so the accounting is pure telemetry: no step result
+        # depends on it, and determinism-sensitive harnesses can pass a
+        # stub.
         self._clock = clock
         self._phase_seconds: dict[str, float] = {"per_ixp_map": 0.0, "run": 0.0}
         self._runs_timed = 0
         # Per-path corpus detection, maintained incrementally across
-        # journalled prefix revisions (created on the first traceroute node);
-        # the lock makes the lazy creation build-once under concurrent runs.
+        # journalled prefix revisions (created on the first traceroute node).
         self._corpus_detection: CorpusDetectionIndex | None = None
-        self._detection_lock = Lock()
 
     def cache_eviction_stats(self) -> dict[str, object]:
         """The step-result cache's LRU budget accounting (ROADMAP open item)."""
@@ -790,39 +755,27 @@ class PipelineEngine:
             inputs.prefix2as.version_token(),
         )
 
-    def _ensure_thread_pool(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            pool = self._thread_pool
-            if pool is None:
-                pool = ThreadPoolExecutor(max_workers=self.max_workers)
-                self._thread_pool = pool
-                self._pools_created += 1
-            else:
-                self._pool_reuses += 1
-            return pool
-
     def _ensure_process_pool(self) -> ProcessPoolExecutor:
         token = self._inputs_snapshot_token()
-        with self._pool_lock:
-            pool = self._process_pool
-            if pool is not None and self._process_inputs_token != token:
-                # The workers hold a pickled snapshot of the inputs; after a
-                # journalled revision they would answer for stale data.
-                pool.shutdown(wait=True)
-                pool = None
-                self._process_pool = None
-            if pool is None:
-                pool = ProcessPoolExecutor(
-                    max_workers=self.max_workers,
-                    initializer=_process_worker_init,
-                    initargs=(self.inputs, self.delay_model, self.fault_plan),
-                )
-                self._process_pool = pool
-                self._process_inputs_token = token
-                self._pools_created += 1
-            else:
-                self._pool_reuses += 1
-            return pool
+        pool = self._process_pool
+        if pool is not None and self._process_inputs_token != token:
+            # The workers hold a pickled snapshot of the inputs; after a
+            # journalled revision they would answer for stale data.
+            pool.shutdown(wait=True)
+            pool = None
+            self._process_pool = None
+        if pool is None:
+            pool = ProcessPoolExecutor(
+                max_workers=self.max_workers,
+                initializer=_process_worker_init,
+                initargs=(self.inputs, self.delay_model, self.fault_plan),
+            )
+            self._process_pool = pool
+            self._process_inputs_token = token
+            self._pools_created += 1
+        else:
+            self._pool_reuses += 1
+        return pool
 
     def executor_stats(self) -> dict[str, object]:
         """Executor-seam accounting: pools, phase timings, resilience events."""
@@ -830,43 +783,36 @@ class PipelineEngine:
             "counts": self._resilience.counts(),
             "events": self._resilience.snapshot(),
         }
-        with self._pool_lock:
-            return {
-                "executor": self.executor,
-                "max_workers": self.max_workers,
-                "task_timeout_s": self.task_timeout_s,
-                "pools_created": self._pools_created,
-                "pool_reuses": self._pool_reuses,
-                "pools_retired": len(self._retired_pools),
-                "thread_pool_live": self._thread_pool is not None,
-                "process_pool_live": self._process_pool is not None,
-                "runs_timed": self._runs_timed,
-                "phase_seconds": dict(self._phase_seconds),
-                "resilience": resilience,
-            }
+        return {
+            "executor": self.executor,
+            "max_workers": self.max_workers,
+            "task_timeout_s": self.task_timeout_s,
+            "pools_created": self._pools_created,
+            "pool_reuses": self._pool_reuses,
+            "pools_retired": len(self._retired_pools),
+            "process_pool_live": self._process_pool is not None,
+            "runs_timed": self._runs_timed,
+            "phase_seconds": dict(self._phase_seconds),
+            "resilience": resilience,
+        }
 
     def resilience_events(self) -> tuple[ResilienceEvent, ...]:
         """The typed journal of fault-handling decisions, oldest first."""
         return self._resilience.snapshot()
 
     def shutdown(self) -> None:
-        """Release the engine's executor pools (idempotent, breakage-safe).
+        """Release the engine's process pool (idempotent, breakage-safe).
 
-        Live pools are drained with ``wait=True`` outside the pool lock (a
-        broken pool's join returns immediately); pools already retired by
-        crash recovery or timeout demotion were shut down — workers
-        terminated — at retirement and are only dropped here.  Calling
-        :meth:`shutdown` again, or after a failed run, is a no-op.
+        A live pool is drained with ``wait=True`` (a broken pool's join
+        returns immediately); pools already retired by crash recovery or
+        timeout demotion were shut down — workers terminated — at
+        retirement and are only dropped here.  Calling :meth:`shutdown`
+        again, or after a failed run, is a no-op.
         """
-        with self._pool_lock:
-            thread_pool = self._thread_pool
-            process_pool = self._process_pool
-            self._thread_pool = None
-            self._process_pool = None
-            self._process_inputs_token = None
-            self._retired_pools = []
-        if thread_pool is not None:
-            thread_pool.shutdown(wait=True)
+        process_pool = self._process_pool
+        self._process_pool = None
+        self._process_inputs_token = None
+        self._retired_pools = []
         if process_pool is not None:
             process_pool.shutdown(wait=True)
 
@@ -949,10 +895,9 @@ class PipelineEngine:
                 multi_ixp_routers=list(routers),
             )
         finally:
-            with self._pool_lock:
-                self._phase_seconds["per_ixp_map"] += map_elapsed
-                self._phase_seconds["run"] += self._clock() - run_started
-                self._runs_timed += 1
+            self._phase_seconds["per_ixp_map"] += map_elapsed
+            self._phase_seconds["run"] += self._clock() - run_started
+            self._runs_timed += 1
 
     # ------------------------------------------------------------------ #
     # Per-IXP chains (Steps 1-3 + baseline): resilient scheduling
@@ -965,19 +910,17 @@ class PipelineEngine:
     ) -> list[_PerIXPResults]:
         """Schedule every IXP's chain under the run's resilience regime.
 
-        The run starts in the configured executor mode and works in
-        *rounds*: each round submits every still-unfinished task, collects
-        in submission order, and either finishes, queues retries (per
-        :attr:`retry_policy`), recovers a crashed pool, or demotes the
-        mode one rung down the cascade ``process -> thread -> serial``
-        after a task timeout.  The serial round always completes (or
-        exhausts the policy); results are returned in ``ixp_ids`` order so
-        the downstream merge stays the deterministic monolithic one.
+        With ``max_workers > 1`` and more than one IXP the run starts on the
+        process pool and works in *rounds*: each round submits every
+        still-unfinished task, collects in submission order, and either
+        finishes, queues retries (per :attr:`retry_policy`), recovers a
+        crashed pool, or demotes the run to the serial schedule after a
+        task timeout (``process -> serial``).  The serial round always
+        completes (or exhausts the policy); results are returned in
+        ``ixp_ids`` order so the downstream merge stays the deterministic
+        monolithic one.
         """
-        parallel = (self.executor != "serial"
-                    and self.max_workers is not None and self.max_workers > 1
-                    and len(ixp_ids) > 1)
-        mode = self.executor if parallel else "serial"
+        mode = self.executor if len(ixp_ids) > 1 else "serial"
         results: dict[str, _PerIXPResults] = {}
         pending = list(ixp_ids)
         if mode == "process":
@@ -992,9 +935,6 @@ class PipelineEngine:
         while pending:
             if mode == "process":
                 mode, pending = self._process_round(
-                    config, pending, attempts, results, resolver)
-            elif mode == "thread":
-                mode, pending = self._thread_round(
                     config, pending, attempts, results, resolver)
             else:
                 self._serial_round(config, pending, attempts, results, resolver)
@@ -1041,17 +981,16 @@ class PipelineEngine:
                 f"per-IXP task {ixp_id!r} timed out on attempt {attempt} "
                 f"(task_timeout_s={self.task_timeout_s}) with no retries left")
 
-    def _demote(self, mode: str, reason: str) -> str:
-        """One rung down the cascade, journalled and warned — never silent."""
-        demoted = {"process": "thread", "thread": "serial"}[mode]
+    def _demote(self, reason: str) -> str:
+        """Fall back to the serial schedule, journalled and warned."""
         self._resilience.record(ResilienceEvent(
             kind=ResilienceEventKind.EXECUTOR_DEMOTION, context="scheduler",
-            detail=f"{mode}->{demoted}: {reason}"))
+            detail=f"process->serial: {reason}"))
         warnings.warn(
             ExecutorDegradedWarning(
-                f"per-IXP executor demoted {mode} -> {demoted} ({reason})"),
+                f"per-IXP executor demoted process -> serial ({reason})"),
             stacklevel=2)
-        return demoted
+        return "serial"
 
     def _retire_process_pool(self) -> None:
         """Abandon the live process pool (broken, or hosting a hung task).
@@ -1062,16 +1001,15 @@ class PipelineEngine:
         :meth:`shutdown` stays idempotent even after breakage.  The next
         :meth:`_ensure_process_pool` builds a fresh pool.
         """
-        with self._pool_lock:
-            pool = self._process_pool
-            self._process_pool = None
-            self._process_inputs_token = None
-            if pool is not None:
-                self._retired_pools.append(pool)
-                pool.shutdown(wait=False, cancel_futures=True)
-                workers = getattr(pool, "_processes", None) or {}
-                for process in list(workers.values()):
-                    process.terminate()
+        pool = self._process_pool
+        self._process_pool = None
+        self._process_inputs_token = None
+        if pool is not None:
+            self._retired_pools.append(pool)
+            pool.shutdown(wait=False, cancel_futures=True)
+            workers = getattr(pool, "_processes", None) or {}
+            for process in list(workers.values()):
+                process.terminate()
 
     def _crash_recovery(
         self, unfinished: list[str], attempts: dict[str, int]
@@ -1131,9 +1069,11 @@ class PipelineEngine:
                 shipped = futures[ixp_id].result(timeout=self.task_timeout_s)
             except FuturesTimeoutError:
                 attempts[ixp_id] = attempt
-                self._note_timeout(ixp_id, attempt)
+                # Retire first: the hung worker must not outlive a run that
+                # raises because the task has no attempts left.
                 self._retire_process_pool()
-                mode = self._demote("process", f"task {ixp_id!r} timed out")
+                self._note_timeout(ixp_id, attempt)
+                mode = self._demote(f"task {ixp_id!r} timed out")
                 return mode, retry_queue + pending[index:]
             except BrokenExecutor:
                 return self._crash_recovery(
@@ -1147,46 +1087,6 @@ class PipelineEngine:
                 results[ixp_id] = self._absorb_per_ixp(
                     ixp_id, resolver, shipped)
         return "process", retry_queue
-
-    def _thread_round(
-        self,
-        config: InferenceConfig,
-        pending: list[str],
-        attempts: dict[str, int],
-        results: dict[str, _PerIXPResults],
-        resolver: _KeyResolver,
-    ) -> tuple[str, list[str]]:
-        """One submit-and-collect pass over the thread pool.
-
-        Mirrors :meth:`_process_round` minus the crash class (threads
-        cannot die under the scheduler); a timed-out thread keeps running
-        harmlessly — every store it will eventually make is an idempotent
-        ``get_or_compute`` — while the serial round recomputes its task.
-        """
-        pool = self._ensure_thread_pool()
-        futures: dict[str, Future[_PerIXPResults]] = {}
-        for ixp_id in pending:
-            futures[ixp_id] = pool.submit(
-                self._run_chain_task, config, ixp_id,
-                attempts[ixp_id] + 1, resolver)
-        retry_queue: list[str] = []
-        for index, ixp_id in enumerate(pending):
-            attempt = attempts[ixp_id] + 1
-            try:
-                chain = futures[ixp_id].result(timeout=self.task_timeout_s)
-            except FuturesTimeoutError:
-                attempts[ixp_id] = attempt
-                self._note_timeout(ixp_id, attempt)
-                mode = self._demote("thread", f"task {ixp_id!r} timed out")
-                return mode, retry_queue + pending[index:]
-            except Exception as error:
-                attempts[ixp_id] = attempt
-                self._retry_backoff(config, ixp_id, attempt, error)
-                retry_queue.append(ixp_id)
-            else:
-                attempts[ixp_id] = attempt
-                results[ixp_id] = chain
-        return "thread", retry_queue
 
     def _serial_round(
         self,
@@ -1242,8 +1142,7 @@ class PipelineEngine:
         """Store a worker-computed chain under the parent's cache keys.
 
         Goes through :meth:`StepResultCache.get_or_compute` so the store
-        obeys the cache's budgets and accounting; a concurrent run that
-        filled a node first wins, exactly as for thread workers.
+        obeys the cache's budgets and accounting.
         """
         cache = self.cache
         step1 = cast("_Delta", cache.get_or_compute(
@@ -1323,12 +1222,8 @@ class PipelineEngine:
     # ------------------------------------------------------------------ #
     def _compute_traceroute(self) -> tuple[list[IXPCrossing], list[PrivateAdjacency]]:
         if self._corpus_detection is None:
-            # Double-checked lazy creation: two concurrent runs must share
-            # one incrementally maintained index, not race two into place.
-            with self._detection_lock:
-                if self._corpus_detection is None:
-                    self._corpus_detection = CorpusDetectionIndex(
-                        self.inputs.dataset, self.inputs.prefix2as, self.inputs.corpus)
+            self._corpus_detection = CorpusDetectionIndex(
+                self.inputs.dataset, self.inputs.prefix2as, self.inputs.corpus)
         return self._corpus_detection.results()
 
     def _compute_step4(
@@ -1399,7 +1294,7 @@ def _process_worker_init(
     lazy scalar memo fills on the worker's first chain.
     """
     global _WORKER_ENGINE, _WORKER_FAULT_PLAN
-    engine = PipelineEngine(inputs, delay_model=delay_model, executor="serial")
+    engine = PipelineEngine(inputs, delay_model=delay_model)
     geo_index = engine.geo_index
     if geo_index is not None:
         geo_index.prebuild(inputs.vantage_point_locations())

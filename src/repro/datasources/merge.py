@@ -27,7 +27,6 @@ differences.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from threading import Lock
 
 from repro.datasources.records import SourceName, SourceSnapshot
 from repro.exceptions import DataSourceError
@@ -178,19 +177,14 @@ class ObservedDataset(Versioned):
     countries: dict[int, str] = field(default_factory=dict)
 
     # Derived lookup indexes; never part of equality or repr.  The LAN LPM
-    # state is one atomically swapped (token, view) tuple so a reader never
-    # observes a fresh token with a stale view.
+    # state is one (token, view) tuple, so the token and the view it guards
+    # are always read together.
     _lan_state: tuple[tuple[int, int], LPMIndex | LPMDeltaView] | None = field(
         default=None, init=False, repr=False, compare=False)
     _ixp_views: GenerationGuardedIndex = field(
         default_factory=GenerationGuardedIndex, init=False, repr=False, compare=False)
     _ixp_members: dict[str, set[int]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    # Serialises the lazy builds/fills of the derived state above when the
-    # per-IXP engine nodes read concurrently (journalled mutators stay
-    # single-threaded by contract and are policed by the mutation rule).
-    _view_lock: Lock = field(
-        default_factory=Lock, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------ #
     # Versioning
@@ -207,16 +201,11 @@ class ObservedDataset(Versioned):
 
     def __getstate__(self) -> dict[str, object]:
         state = dict(self.__dict__)
-        # The lock is process-local and the LAN LPM state is derived: a
-        # worker process rebuilds both lazily from the public dicts.  The
-        # other derived indexes carry their own pickling contracts.
-        state["_view_lock"] = None
+        # The LAN LPM state is derived: a worker process rebuilds it lazily
+        # from the public dicts.  The other derived indexes carry their own
+        # pickling contracts.
         state["_lan_state"] = None
         return state
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._view_lock = Lock()
 
     def domain_token(self, domain: str) -> tuple[int, int]:
         """``(domain generation, size hint)`` version token for one domain.
@@ -429,8 +418,7 @@ class ObservedDataset(Versioned):
             if asn is not None:
                 by_ixp.setdefault(owner, {})[ip] = asn
         # A rebuilt view invalidates the member-set memo derived from it.
-        with self._view_lock:
-            self._ixp_members = {}
+        self._ixp_members = {}
         return by_ixp
 
     def _interfaces_by_ixp(self) -> dict[str, dict[str, int]]:
@@ -449,8 +437,7 @@ class ObservedDataset(Versioned):
         members = self._ixp_members.get(ixp_id)
         if members is None:
             members = set(by_ixp.get(ixp_id, {}).values())
-            with self._view_lock:
-                self._ixp_members[ixp_id] = members
+            self._ixp_members[ixp_id] = members
         return set(members)
 
     def asn_of_interface(self, ip: str) -> int | None:
@@ -472,13 +459,8 @@ class ObservedDataset(Versioned):
         token = self.domain_token(DOMAIN_IXP_PREFIXES)
         state = self._lan_state
         if state is None or state[0] != token:
-            # Double-checked build: concurrent per-IXP readers must neither
-            # build the LPM twice nor publish a stale (token, view) pair.
-            with self._view_lock:
-                state = self._lan_state
-                if state is None or state[0] != token:
-                    state = (token, LPMIndex(self.ixp_prefixes))
-                    self._lan_state = state
+            state = (token, LPMIndex(self.ixp_prefixes))
+            self._lan_state = state
         return state[1].lookup(ip)
 
     # ------------------------------------------------------------------ #

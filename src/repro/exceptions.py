@@ -72,7 +72,8 @@ class ValidationError(ReproError):
 class ExecutorDegradedWarning(RuntimeWarning):
     """Warned when the engine demotes its executor down the cascade.
 
-    A per-task timeout demotes the running schedule one rung down
-    ``process -> thread -> serial``; the demotion is also journalled as a
-    typed ``ResilienceEvent``, so it is loud in both channels.
+    A per-task timeout demotes the running schedule from the process pool
+    to the serial schedule (``process -> serial``); the demotion is also
+    journalled as a typed ``ResilienceEvent``, so it is loud in both
+    channels.
     """

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from threading import Lock
 
 from repro.constants import MAX_PROBE_SPEED_KM_S
 from repro.exceptions import ConfigurationError
@@ -128,18 +127,6 @@ class DelayModel:
         # same RTT values over and over; the model's parameters are fixed at
         # construction, making the inversion a pure function of the RTT.
         self._min_distance_memo: dict[float, float] = {}
-        self._lock = Lock()
-
-    def __getstate__(self) -> dict[str, object]:
-        # The lock is process-local; the memo's entries are pure functions
-        # of the (immutable) parameters, so they travel to workers as-is.
-        state = dict(self.__dict__)
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._lock = Lock()
 
     # ------------------------------------------------------------------ #
     # Speed bounds
@@ -237,12 +224,8 @@ class DelayModel:
         cached = self._min_distance_memo.get(rtt_ms)
         if cached is not None:
             return cached
-        # The bisection is a pure function of the fixed parameters, so it is
-        # computed outside the lock; only the memo store is serialised and
-        # the hit path above stays lock-free.
         distance = self.invert_min_distance_km(rtt_ms)
-        with self._lock:
-            self._min_distance_memo[rtt_ms] = distance
+        self._min_distance_memo[rtt_ms] = distance
         return distance
 
     def invert_min_distance_km(self, rtt_ms: float) -> float:

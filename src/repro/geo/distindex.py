@@ -61,7 +61,6 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
-from threading import RLock
 from typing import TYPE_CHECKING, Any
 
 from repro.geo import coordinates
@@ -109,7 +108,6 @@ class GeoDistanceIndex:
 
     __slots__ = (
         "_dataset",
-        "_sync_lock",
         "_synced_generation",
         "incremental_evictions",
         "wholesale_invalidations",
@@ -125,10 +123,6 @@ class GeoDistanceIndex:
 
     def __init__(self, dataset: "ObservedDataset") -> None:
         self._dataset = dataset
-        # Serialises journal replay, wholesale invalidation and every memo
-        # store; reentrant because _sync falls back to invalidate() while
-        # holding it.  Memo *reads* stay lock-free (GIL-atomic dict lookups).
-        self._sync_lock = RLock()
         self._synced_generation = getattr(dataset, "generation", 0)
         #: Journalled changes absorbed by selective eviction (accounting).
         self.incremental_evictions = 0
@@ -155,31 +149,16 @@ class GeoDistanceIndex:
         mutations are absorbed automatically (and more selectively) by the
         lazy replay in :meth:`_sync`.
         """
-        with self._sync_lock:
-            self._point_km.clear()
-            self._pair_km.clear()
-            self._ixp_profiles.clear()
-            self._as_profiles.clear()
-            self._ixp_spans.clear()
-            self._as_ixp_spans.clear()
-            self._common_spans.clear()
-            self._majority_votes.clear()
-            self._synced_generation = getattr(self._dataset, "generation", 0)
-            self.wholesale_invalidations += 1
-
-    def __getstate__(self) -> dict[str, object]:
-        # The RLock is process-local; the dataset and the memo contents
-        # travel to worker processes as-is (every memo value is a pure,
-        # bit-identical function of the dataset, so a warm index stays
-        # valid on the other side of the pickle boundary).
-        return {
-            slot: getattr(self, slot) for slot in self.__slots__ if slot != "_sync_lock"
-        }
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
-        self._sync_lock = RLock()
+        self._point_km.clear()
+        self._pair_km.clear()
+        self._ixp_profiles.clear()
+        self._as_profiles.clear()
+        self._ixp_spans.clear()
+        self._as_ixp_spans.clear()
+        self._common_spans.clear()
+        self._majority_votes.clear()
+        self._synced_generation = getattr(self._dataset, "generation", 0)
+        self.wholesale_invalidations += 1
 
     # ------------------------------------------------------------------ #
     # Journal synchronisation
@@ -194,24 +173,19 @@ class GeoDistanceIndex:
         wholesale invalidation.
         """
         dataset = self._dataset
-        if dataset.generation == self._synced_generation:
+        generation = dataset.generation
+        if generation == self._synced_generation:
             return
-        # Per-IXP engine nodes run on a thread pool; only one thread may
-        # replay (the fast path above stays lock-free).
-        with self._sync_lock:
-            generation = dataset.generation
-            if generation == self._synced_generation:
-                return
-            from repro.datasources.merge import GEO_DOMAINS
+        from repro.datasources.merge import GEO_DOMAINS
 
-            changes = dataset.journal.since(self._synced_generation, GEO_DOMAINS)
-            if changes is None or len(changes) > SELECTIVE_EVICTION_LIMIT:
-                self.invalidate()
-                return
-            for change in changes:
-                self._evict_for(change)
-                self.incremental_evictions += 1
-            self._synced_generation = generation
+        changes = dataset.journal.since(self._synced_generation, GEO_DOMAINS)
+        if changes is None or len(changes) > SELECTIVE_EVICTION_LIMIT:
+            self.invalidate()
+            return
+        for change in changes:
+            self._evict_for(change)
+            self.incremental_evictions += 1
+        self._synced_generation = generation
 
     def _evict_for(self, change: "Change") -> None:
         from repro.datasources.merge import (
@@ -291,8 +265,7 @@ class GeoDistanceIndex:
             return self._point_km[key]
         location = self._dataset.facility_location(facility_id)
         distance = None if location is None else geodesic_distance_km(point, location)
-        with self._sync_lock:
-            self._point_km[key] = distance
+        self._point_km[key] = distance
         return distance
 
     def pair_distance_km(self, facility_a: str, facility_b: str) -> float | None:
@@ -312,8 +285,7 @@ class GeoDistanceIndex:
             if loc_a is None or loc_b is None
             else geodesic_distance_km(loc_a, loc_b)
         )
-        with self._sync_lock:
-            self._pair_km[key] = distance
+        self._pair_km[key] = distance
         return distance
 
     def prebuild(
@@ -398,22 +370,10 @@ class GeoDistanceIndex:
                         tasks.append((location_a, location_b))
 
         distances = geodesic_distances_km(tasks)
-        added = 0
-        with self._sync_lock:
-            for position, key in enumerate(point_keys):
-                if key not in point_memo:
-                    point_memo[key] = distances[position]
-                    added += 1
-            for key in misses:
-                if key not in point_memo:
-                    point_memo[key] = None
-                    added += 1
-            offset = len(point_keys)
-            for position, pair_key in enumerate(pair_keys):
-                if pair_key not in pair_memo:
-                    pair_memo[pair_key] = distances[offset + position]
-                    added += 1
-        return added
+        point_memo.update(zip(point_keys, distances))
+        point_memo.update(dict.fromkeys(misses))
+        pair_memo.update(zip(pair_keys, distances[len(point_keys) :]))
+        return len(point_keys) + len(misses) + len(pair_keys)
 
     def _prebuild_cold_arrays(
         self,
@@ -426,9 +386,7 @@ class GeoDistanceIndex:
 
         Both memos were observed empty, so no per-key filtering is needed:
         the endpoint arrays are assembled structurally and the results
-        stored in one bulk update per memo.  A concurrent lazy fill racing
-        this path is handled by re-checking under the lock — first store
-        wins, exactly like the generic path.
+        stored in one bulk update per memo.
         """
         np = coordinates._np
         located_ids = [facility_id for facility_id, _ in located]
@@ -477,31 +435,10 @@ class GeoDistanceIndex:
 
         point_memo = self._point_km
         pair_memo = self._pair_km
-        added = 0
-        with self._sync_lock:
-            if point_memo:
-                for key, value in zip(point_keys, point_values):
-                    if key not in point_memo:
-                        point_memo[key] = value
-                        added += 1
-            else:
-                point_memo.update(zip(point_keys, point_values))
-                added += len(point_keys)
-            for point in dedup_points:
-                for facility_id in unlocated:
-                    key = (point, facility_id)
-                    if key not in point_memo:
-                        point_memo[key] = None
-                        added += 1
-            if pair_memo:
-                for pair_key, value in zip(pair_keys, pair_values):
-                    if pair_key not in pair_memo:
-                        pair_memo[pair_key] = value
-                        added += 1
-            else:
-                pair_memo.update(zip(pair_keys, pair_values))
-                added += len(pair_keys)
-        return added
+        point_memo.update(zip(point_keys, point_values))
+        point_memo.update(dict.fromkeys(product(dedup_points, unlocated)))
+        pair_memo.update(zip(pair_keys, pair_values))
+        return len(point_memo) + len(pair_memo)
 
     # ------------------------------------------------------------------ #
     # Sorted distance profiles (Step 3)
@@ -514,8 +451,7 @@ class GeoDistanceIndex:
         if profile is None:
             facilities = self._dataset.facilities_of_ixp(ixp_id)
             profile = self._build_profile(point, facilities)
-            with self._sync_lock:
-                self._ixp_profiles[key] = profile
+            self._ixp_profiles[key] = profile
         return profile
 
     def as_profile(self, point: GeoPoint, asn: int) -> DistanceProfile:
@@ -526,8 +462,7 @@ class GeoDistanceIndex:
         if profile is None:
             facilities = self._dataset.facilities_of_as(asn)
             profile = self._build_profile(point, facilities)
-            with self._sync_lock:
-                self._as_profiles[key] = profile
+            self._as_profiles[key] = profile
         return profile
 
     def _build_profile(
@@ -569,8 +504,7 @@ class GeoDistanceIndex:
             self._dataset.facilities_of_ixp(key[0]),
             self._dataset.facilities_of_ixp(key[1]),
         )
-        with self._sync_lock:
-            self._ixp_spans[key] = span
+        self._ixp_spans[key] = span
         return span
 
     def as_ixp_span_km(self, asn: int, ixp_id: str) -> tuple[float, float] | None:
@@ -583,8 +517,7 @@ class GeoDistanceIndex:
             self._dataset.facilities_of_as(asn),
             self._dataset.facilities_of_ixp(ixp_id),
         )
-        with self._sync_lock:
-            self._as_ixp_spans[key] = span
+        self._as_ixp_spans[key] = span
         return span
 
     def common_facility_span_km(
@@ -602,8 +535,7 @@ class GeoDistanceIndex:
         ixp_facilities = self._dataset.facilities_of_ixp(ixp_id)
         common = self._dataset.facilities_of_as(asn) & ixp_facilities
         span = self._span(common, ixp_facilities)
-        with self._sync_lock:
-            self._common_spans[key] = span
+        self._common_spans[key] = span
         return span
 
     # ------------------------------------------------------------------ #
@@ -639,8 +571,7 @@ class GeoDistanceIndex:
             result = frozenset(
                 facility for facility, count in votes.items() if count > voters / 2.0
             )
-        with self._sync_lock:
-            self._majority_votes[key] = result
+        self._majority_votes[key] = result
         return result
 
     def _span(

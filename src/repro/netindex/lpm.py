@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import ipaddress
 from bisect import bisect_right
-from threading import Lock
 from typing import Generic, Iterable, Mapping, TypeVar, cast
 
 V = TypeVar("V")
@@ -55,7 +54,7 @@ _UNCACHED = object()
 class LPMIndex(Generic[V]):
     """Immutable longest-prefix-match index from CIDR prefixes to values."""
 
-    __slots__ = ("_tables", "_hosts", "_memo", "_size", "_lock")
+    __slots__ = ("_tables", "_hosts", "_memo", "_size")
 
     def __init__(self, entries: Iterable[tuple[str, V]] | Mapping[str, V] = ()) -> None:
         if isinstance(entries, Mapping):
@@ -91,31 +90,6 @@ class LPMIndex(Generic[V]):
             if table[0]:
                 self._tables[version] = table
         self._memo: dict[str, tuple[V, int] | None] = {}
-        self._lock = Lock()
-
-    def __getstate__(
-        self,
-    ) -> tuple[
-        dict[int, tuple[list[int], list[int], list[V], list[int]]],
-        dict[tuple[int, int], V],
-        dict[str, tuple[V, int] | None],
-        int,
-    ]:
-        # The lock is process-local; the tables (and the memo, whose entries
-        # are pure functions of them) travel to the worker as-is.
-        return (self._tables, self._hosts, self._memo, self._size)
-
-    def __setstate__(
-        self,
-        state: tuple[
-            dict[int, tuple[list[int], list[int], list[V], list[int]]],
-            dict[tuple[int, int], V],
-            dict[str, tuple[V, int] | None],
-            int,
-        ],
-    ) -> None:
-        self._tables, self._hosts, self._memo, self._size = state
-        self._lock = Lock()
 
     @staticmethod
     def _flatten(
@@ -199,16 +173,12 @@ class LPMIndex(Generic[V]):
                 slot = bisect_right(starts, numeric) - 1
                 if slot >= 0 and ends[slot] >= numeric:
                     match = (table_values[slot], lengths[slot])
-        # The match was computed from immutable tables; only the memo store
-        # needs the lock, so the hit path above stays lock-free.
-        with self._lock:
-            self._memo[ip] = match
+        self._memo[ip] = match
         return match
 
     def clear_cache(self) -> None:
         """Drop the lookup memo (the interval tables are untouched)."""
-        with self._lock:
-            self._memo.clear()
+        self._memo.clear()
 
     def __len__(self) -> int:
         """Number of distinct registered prefixes."""
@@ -238,15 +208,14 @@ class LPMDeltaView(Generic[V]):
       owners fall back to a full rebuild (see ``Prefix2ASMap.remove``).
 
     Views are **immutable**: :meth:`patched` returns a new view sharing the
-    base index, so owners can swap one reference atomically (the same
-    torn-read-free contract as
-    :class:`~repro.versioning.GenerationGuardedIndex`).  Owners compact the
+    base index, so owners replace one reference (as
+    :class:`~repro.versioning.GenerationGuardedIndex` does).  Owners compact the
     overlay into a fresh :class:`LPMIndex` once :attr:`delta_size` passes
     :data:`DELTA_COMPACTION_THRESHOLD` — the overlay scan is linear, so it
     must stay small relative to the base.
     """
 
-    __slots__ = ("base", "_overlay", "_memo", "_lock")
+    __slots__ = ("base", "_overlay", "_memo")
 
     def __init__(
         self,
@@ -257,28 +226,6 @@ class LPMDeltaView(Generic[V]):
         # canonical prefix -> (version, network_int, prefixlen, value)
         self._overlay: dict[str, tuple[int, int, int, V]] = dict(overlay or {})
         self._memo: dict[str, tuple[V, int] | None] = {}
-        self._lock = Lock()
-
-    def __getstate__(
-        self,
-    ) -> tuple[
-        LPMIndex[V],
-        dict[str, tuple[int, int, int, V]],
-        dict[str, tuple[V, int] | None],
-    ]:
-        # The lock is process-local; base, overlay and memo travel as-is.
-        return (self.base, self._overlay, self._memo)
-
-    def __setstate__(
-        self,
-        state: tuple[
-            LPMIndex[V],
-            dict[str, tuple[int, int, int, V]],
-            dict[str, tuple[V, int] | None],
-        ],
-    ) -> None:
-        self.base, self._overlay, self._memo = state
-        self._lock = Lock()
 
     @property
     def delta_size(self) -> int:
@@ -324,8 +271,7 @@ class LPMDeltaView(Generic[V]):
             # re-registered, so ties go to the overlay (last write wins).
             if match is None or prefixlen >= match[1]:
                 match = (value, prefixlen)
-        with self._lock:
-            self._memo[ip] = match
+        self._memo[ip] = match
         return match
 
 

@@ -1,7 +1,8 @@
 """Fault tolerance for the pipeline engine's executor seam.
 
-PR 8 made ``PipelineEngine`` parallel (thread and process executors); this
-package gives that seam *failure semantics*, in three deterministic pieces:
+``PipelineEngine(max_workers > 1)`` ships per-IXP chains to a process
+pool; this package gives that seam *failure semantics*, in three
+deterministic pieces:
 
 * :class:`RetryPolicy` (:mod:`~repro.resilience.policy`) — bounded retries
   per ``(config, ixp_id)`` task with capped exponential backoff whose

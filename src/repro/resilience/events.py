@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from threading import Lock
 
 
 class ResilienceEventKind(enum.Enum):
@@ -41,27 +40,23 @@ class ResilienceEvent:
 
 
 class ResilienceLog:
-    """Thread-safe, append-only journal of :class:`ResilienceEvent`.
+    """Append-only journal of :class:`ResilienceEvent`.
 
     One log lives on each engine for the engine's lifetime (events
-    accumulate across runs, like the executor counters).  Appends are
-    serialised by the log's own lock so pool threads may record
-    concurrently; reads hand out immutable snapshots.
+    accumulate across runs, like the executor counters); reads hand out
+    immutable snapshots.
     """
 
     def __init__(self) -> None:
-        self._lock = Lock()
         self._events: list[ResilienceEvent] = []
 
     def record(self, event: ResilienceEvent) -> None:
-        """Append one event (safe from any thread)."""
-        with self._lock:
-            self._events.append(event)
+        """Append one event."""
+        self._events.append(event)
 
     def snapshot(self) -> tuple[ResilienceEvent, ...]:
         """Every recorded event, oldest first."""
-        with self._lock:
-            return tuple(self._events)
+        return tuple(self._events)
 
     def counts(self) -> dict[str, int]:
         """Event tallies keyed by the kind's string value."""
@@ -71,5 +66,4 @@ class ResilienceLog:
         return counts
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._events)
+        return len(self._events)

@@ -10,16 +10,15 @@ can be pinned bit-for-bit against the fault-free schedule.
 
 The plan rides into worker processes through the pool initializer (it is
 plain picklable data) and is consulted by the worker entry point before the
-chain computes; in-process executors (thread, serial) consult it through
-the same :func:`perform_fault` with ``in_worker=False``, where a "crash"
+chain computes; the in-process serial schedule consults it through the
+same :func:`perform_fault` with ``in_worker=False``, where a "crash"
 becomes a raised :class:`~repro.exceptions.WorkerCrashError` and a pickling
 fault is a no-op (nothing crosses a pickle).
 
-This module is exempt from contracts rule 5 (determinism), like
-``contracts.dynconc`` is exempt from rule 2: its *job* is to call
-``os._exit`` and ``time.sleep`` — it IS the injected fault.  The exemption
-is sound because every call site is gated on a fault the plan scheduled
-deterministically; no step result ever depends on these calls.
+This module is exempt from contracts rule 4 (determinism): its *job* is
+to call ``os._exit`` and ``time.sleep`` — it IS the injected fault.  The
+exemption is sound because every call site is gated on a fault the plan
+scheduled deterministically; no step result ever depends on these calls.
 """
 
 from __future__ import annotations
@@ -41,13 +40,13 @@ CRASH_EXIT_CODE = 87
 class FaultKind(enum.Enum):
     """The failure modes the harness can inject."""
 
-    #: Kill the worker process outright (``os._exit``); in-process
-    #: executors raise :class:`WorkerCrashError` instead.
+    #: Kill the worker process outright (``os._exit``); the in-process
+    #: serial schedule raises :class:`WorkerCrashError` instead.
     CRASH = "crash"
     #: Raise :class:`InjectedFaultError` from the task body.
     EXCEPTION = "exception"
     #: Return a payload whose pickling fails (worker-side only; a no-op
-    #: for in-process executors, which never pickle results).
+    #: for the in-process serial schedule, which never pickles results).
     PICKLE = "pickle"
     #: Sleep ``hang_s`` before computing, long enough to trip the
     #: engine's per-task timeout.

@@ -4,7 +4,7 @@ The engine retries a failed ``(config, ixp_id)`` task under a
 :class:`RetryPolicy`: bounded attempts, capped exponential backoff, and a
 jitter term derived **deterministically** from the task's digest — no
 ``random``, no wall-clock reads — so a rerun of the same faulting schedule
-sleeps the same delays and contracts rule 5 (determinism) holds.  The sleep
+sleeps the same delays and contracts rule 4 (determinism) holds.  The sleep
 itself is performed by the engine through an injectable callable, exactly
 like the PR 8 phase clocks, so tests can record the schedule instead of
 waiting it out.

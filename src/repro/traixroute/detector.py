@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass
-from threading import Lock
 
 from repro.datasources.merge import (
     DOMAIN_INTERFACES,
@@ -94,8 +93,6 @@ class CrossingDetector:
         # dataset or prefix2as map changes underneath.
         self._ixp_memo: dict[str, str | None] = {}
         self._asn_memo: dict[str, int | None] = {}
-        # Serialises memo stores only; memo hits stay lock-free dict reads.
-        self._lock = Lock()
 
     # ------------------------------------------------------------------ #
     # IP classification helpers
@@ -108,8 +105,7 @@ class CrossingDetector:
         result = self.dataset.ixp_of_interface(ip)
         if result is None:
             result = self.dataset.ixp_for_ip(ip)
-        with self._lock:
-            memo[ip] = result
+        memo[ip] = result
         return result
 
     def asn_of_ip(self, ip: str) -> int | None:
@@ -120,8 +116,7 @@ class CrossingDetector:
         result = self.dataset.asn_of_interface(ip)
         if result is None:
             result = self.prefix2as.lookup(ip)
-        with self._lock:
-            memo[ip] = result
+        memo[ip] = result
         return result
 
     # ------------------------------------------------------------------ #
@@ -247,9 +242,6 @@ class CorpusDetectionIndex:
         self._synced_dataset = dataset.generation
         self._synced_prefix2as = prefix2as.generation
         self._synced_paths = 0
-        # Serialises revision syncs (and the mutations the sync helpers make
-        # to the detector's memos) when engines race on a shared index.
-        self._sync_lock = Lock()
         #: Full corpus re-scans performed (the first build counts as one).
         self.full_scans = 0
         #: Paths re-detected selectively across all revisions.
@@ -271,10 +263,6 @@ class CorpusDetectionIndex:
 
     # ------------------------------------------------------------------ #
     def _sync(self) -> None:
-        with self._sync_lock:
-            self._sync_locked()
-
-    def _sync_locked(self) -> None:
         detector = self._detector
         if detector is None:
             self._rebuild()

@@ -55,7 +55,6 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from threading import Lock
 from typing import Callable, Generic, Hashable, Iterable, TypeVar
 
 P = TypeVar("P")
@@ -64,12 +63,6 @@ P = TypeVar("P")
 #: Bulk loads (a full dataset merge) blow through the bound by design:
 #: consumers created afterwards sync from the current generation anyway.
 DEFAULT_JOURNAL_BOUND = 4096
-
-#: Serialises lazy journal creation.  :class:`Versioned` deliberately has no
-#: per-instance ``__init__`` (see its docstring), so a module-level lock is
-#: the only home for the guard; creation happens at most once per container,
-#: so the sharing is harmless.
-_JOURNAL_CREATION_LOCK = Lock()
 
 
 class ChangeKind(enum.Enum):
@@ -189,20 +182,13 @@ class Versioned:
 
         A journal created *after* opaque bumps inherits their floor, so a
         consumer can never mistake an unrecorded past for an empty one.
-
-        Creation is double-checked behind a module-level lock: concurrent
-        readers (per-IXP engine nodes syncing against ``dataset.journal``)
-        must agree on one journal object, not race two into place.
         """
         journal = self._journal
         if journal is None:
-            with _JOURNAL_CREATION_LOCK:
-                journal = self._journal
-                if journal is None:
-                    journal = ChangeJournal()
-                    if self._opaque_generation:
-                        journal.mark_opaque(self._opaque_generation)
-                    self._journal = journal
+            journal = ChangeJournal()
+            if self._opaque_generation:
+                journal.mark_opaque(self._opaque_generation)
+            self._journal = journal
         return journal
 
     def record_change(self, change: Change) -> int:
@@ -264,46 +250,35 @@ class GenerationGuardedIndex(Generic[P]):
     journalled in-place replacement at unchanged size changes the generation
     part, which the size guard could never see.
 
-    The ``(token, payload)`` pair is stored and swapped as one atomic
-    reference, so a reader never observes a fresh token with a stale payload.
-    Builds are additionally serialised behind a lock with a double-checked
-    token validation (relevant when per-IXP engine nodes run on a thread
-    pool): two threads racing a lazy build cannot construct the payload twice
-    or publish a stale one, and the current-token fast path stays lock-free.
+    The ``(token, payload)`` pair is stored as one reference, so the token
+    and the payload it guards are always read together.
     """
 
-    __slots__ = ("_state", "_lock")
+    __slots__ = ("_state",)
 
     def __init__(self) -> None:
         self._state: tuple[Hashable, P] | None = None
-        self._lock = Lock()
 
     def get(self, token: Hashable, build: Callable[[], P]) -> P:
         """The payload, rebuilt via ``build()`` if the version token changed."""
         state = self._state
-        if state is not None and state[0] == token:
-            return state[1]
-        with self._lock:
-            state = self._state
-            if state is None or state[0] != token:
-                state = (token, build())
-                self._state = state
+        if state is None or state[0] != token:
+            state = (token, build())
+            self._state = state
         return state[1]
 
     def invalidate(self) -> None:
         """Drop the payload; the next :meth:`get` rebuilds it."""
-        with self._lock:
-            self._state = None
+        self._state = None
 
     def __getstate__(self) -> bool:
-        # Locks cannot cross process boundaries and a derived payload is
-        # rebuildable by definition: ship nothing.  The sentinel must be
-        # truthy — pickle skips __setstate__ for falsy states.
+        # A derived payload is rebuildable by definition: ship nothing.  The
+        # sentinel must be truthy — pickle skips __setstate__ for falsy
+        # states.
         return True
 
     def __setstate__(self, state: bool) -> None:
         self._state = None
-        self._lock = Lock()
 
     @property
     def is_built(self) -> bool:

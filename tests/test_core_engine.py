@@ -136,17 +136,6 @@ class TestEngineEquivalence:
         _assert_equivalent(small_outcome, reference)
         assert small_outcome.report.inferred()
 
-    @pytest.mark.parametrize("max_workers", [2, 4])
-    def test_parallel_schedule_is_equivalent(self, tiny_study, max_workers):
-        serial = tiny_study.outcome
-        engine = PipelineEngine(
-            tiny_study.inputs, delay_model=tiny_study.delay_model,
-            geo_index=tiny_study.geo_index, max_workers=max_workers)
-        parallel = engine.run(tiny_study.config.inference, tiny_study.studied_ixp_ids)
-        assert parallel.report == serial.report
-        assert parallel.baseline_report == serial.baseline_report
-        assert parallel.rtt_summary.observations == serial.rtt_summary.observations
-
     def test_rerun_from_cache_is_identical(self, tiny_study):
         engine = PipelineEngine(
             tiny_study.inputs, delay_model=tiny_study.delay_model,
@@ -159,28 +148,34 @@ class TestEngineEquivalence:
         assert first.baseline_report == second.baseline_report
 
 
+#: Each schedule and the ``max_workers`` that selects it.
+SCHEDULES = {"serial": None, "process": 2}
+
+
 class TestExecutorSeam:
     def test_unknown_executor_rejected(self, tiny_study):
-        with pytest.raises(InferenceError):
-            PipelineEngine(tiny_study.inputs, executor="gpu")
+        # max_workers alone picks the schedule; there is no executor knob.
+        with pytest.raises(TypeError):
+            PipelineEngine(tiny_study.inputs, executor="thread")
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", sorted(SCHEDULES))
     def test_every_executor_matches_serial(self, tiny_study, executor):
         serial = tiny_study.outcome
         engine = PipelineEngine(
             tiny_study.inputs, delay_model=tiny_study.delay_model,
-            geo_index=tiny_study.geo_index, max_workers=2, executor=executor)
+            geo_index=tiny_study.geo_index, max_workers=SCHEDULES[executor])
         try:
             outcome = engine.run(
                 tiny_study.config.inference, tiny_study.studied_ixp_ids)
         finally:
             engine.shutdown()
+        assert engine.executor_stats()["executor"] == executor
         assert outcome == serial
 
     def test_process_rerun_replays_from_parent_cache(self, tiny_study):
         engine = PipelineEngine(
             tiny_study.inputs, delay_model=tiny_study.delay_model,
-            geo_index=tiny_study.geo_index, max_workers=2, executor="process")
+            geo_index=tiny_study.geo_index, max_workers=2)
         config = tiny_study.config.inference
         try:
             first = engine.run(config, tiny_study.studied_ixp_ids)
@@ -195,46 +190,26 @@ class TestExecutorSeam:
         assert stats["pools_created"] == created_after_first == 1
         assert stats["pool_reuses"] == 0
 
-    def test_thread_pool_persists_across_runs(self, tiny_study):
-        engine = PipelineEngine(
-            tiny_study.inputs, delay_model=tiny_study.delay_model,
-            geo_index=tiny_study.geo_index, max_workers=2, executor="thread")
-        config = tiny_study.config.inference
-        try:
-            engine.run(config, tiny_study.studied_ixp_ids)
-            engine.run(config, tiny_study.studied_ixp_ids)
-            stats = engine.executor_stats()
-            assert stats["pools_created"] == 1
-            assert stats["pool_reuses"] >= 1
-            assert stats["thread_pool_live"]
-        finally:
-            engine.shutdown()
-        stats = engine.executor_stats()
-        assert not stats["thread_pool_live"]
-        assert not stats["process_pool_live"]
-        engine.shutdown()  # idempotent
-
     def test_engine_context_manager_shuts_pools_down(self, tiny_study):
         with PipelineEngine(
             tiny_study.inputs, delay_model=tiny_study.delay_model,
-            geo_index=tiny_study.geo_index, max_workers=2, executor="thread",
+            geo_index=tiny_study.geo_index, max_workers=2,
         ) as engine:
             engine.run(tiny_study.config.inference, tiny_study.studied_ixp_ids)
-            assert engine.executor_stats()["thread_pool_live"]
-        stats = engine.executor_stats()
-        assert not stats["thread_pool_live"]
-        assert not stats["process_pool_live"]
+            assert engine.executor_stats()["process_pool_live"]
+        assert not engine.executor_stats()["process_pool_live"]
+        engine.shutdown()  # idempotent
 
     def test_serial_executor_creates_no_pools(self, tiny_study):
         engine = PipelineEngine(
             tiny_study.inputs, delay_model=tiny_study.delay_model,
-            geo_index=tiny_study.geo_index, max_workers=4, executor="serial")
+            geo_index=tiny_study.geo_index, max_workers=1)
         outcome = engine.run(
             tiny_study.config.inference, tiny_study.studied_ixp_ids)
         assert outcome == tiny_study.outcome
         stats = engine.executor_stats()
+        assert stats["executor"] == "serial"
         assert stats["pools_created"] == 0
-        assert not stats["thread_pool_live"]
         assert not stats["process_pool_live"]
 
     def test_worker_payloads_pickle_round_trip(self, tiny_study):
@@ -245,11 +220,10 @@ class TestExecutorSeam:
 
         inputs2, delay_model2 = pickle.loads(
             pickle.dumps((tiny_study.inputs, tiny_study.delay_model)))
-        # The index's dataset identity survives (the dunders ship the memo
-        # dicts but re-link the shared dataset object).
+        # The index's dataset identity survives (the pickle ships the memo
+        # dicts and re-links the shared dataset object).
         assert inputs2.geo_index.dataset is inputs2.dataset
-        engine = PipelineEngine(inputs2, delay_model=delay_model2,
-                                executor="serial")
+        engine = PipelineEngine(inputs2, delay_model=delay_model2)
         outcome = engine.run(
             tiny_study.config.inference, tiny_study.studied_ixp_ids)
         assert outcome == tiny_study.outcome
@@ -265,7 +239,7 @@ class TestExecutorSeam:
         config = study.config.inference
         engine = PipelineEngine(
             study.inputs, delay_model=study.delay_model,
-            geo_index=study.geo_index, max_workers=2, executor="process")
+            geo_index=study.geo_index, max_workers=2)
         try:
             engine.run(config, study.studied_ixp_ids)
             facility_id = sorted(study.inputs.dataset.facility_locations)[0]
@@ -281,7 +255,7 @@ class TestExecutorSeam:
         assert engine.executor_stats()["pools_created"] == 2
         fresh = PipelineEngine(
             study.inputs, delay_model=study.delay_model,
-            geo_index=study.geo_index, executor="serial")
+            geo_index=study.geo_index)
         assert revised == fresh.run(config, study.studied_ixp_ids)
 
 

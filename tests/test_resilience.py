@@ -8,8 +8,8 @@ recovery decision is journalled in ``executor_stats()``, and the resulting
 The unit layers underneath pin what makes that property deterministic:
 :class:`RetryPolicy` backoffs are a pure function of the task digest (no
 ``random``, no clock), :class:`FaultPlan` injection is a pure function of
-``(digest, attempt)``, and the engine's cascade ``process -> thread ->
-serial`` demotes one rung per timeout, journalled and warned, never silent.
+``(digest, attempt)``, and the engine's cascade ``process -> serial``
+demotes on a task timeout, journalled and warned, never silent.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import pickle
 
 import pytest
 
-from repro.core.engine import PipelineEngine
+from repro.core.engine import PipelineEngine, StepResultCache
 from repro.exceptions import (
     ExecutorDegradedWarning,
     InferenceError,
@@ -40,6 +40,10 @@ from repro.resilience import (
 #: tiny study takes milliseconds, a freshly rebuilt pool initialises in
 #: well under a second, and the injected hangs sleep far longer.
 CHAOS_TIMEOUT_S = 6.0
+
+#: Per-task timeout when the hung task is the first one collected: no other
+#: result is waited on under it, so it only has to be shorter than the hang.
+HANG_TIMEOUT_S = 0.5
 
 
 # ------------------------------------------------------------------ #
@@ -176,21 +180,45 @@ def _engine(study, **kwargs):
 
 
 class TestEngineValidation:
-    @pytest.mark.parametrize("max_workers", [0, -1, 2.5, True])
+    @pytest.mark.parametrize("max_workers", [0, -1, 2.5, True, "2"])
     def test_bad_max_workers_fails_at_construction(
         self, tiny_study, max_workers
     ):
         with pytest.raises(InferenceError):
-            _engine(tiny_study, executor="thread", max_workers=max_workers)
+            _engine(tiny_study, max_workers=max_workers)
 
     @pytest.mark.parametrize("max_workers", [None, 1, 2])
     def test_good_max_workers_accepted(self, tiny_study, max_workers):
-        _engine(tiny_study, executor="thread", max_workers=max_workers)
+        _engine(tiny_study, max_workers=max_workers)
 
-    @pytest.mark.parametrize("timeout", [0.0, -1.0])
+    @pytest.mark.parametrize(
+        "timeout", [0.0, -1.0, True, "5", float("nan")])
     def test_bad_task_timeout_fails_at_construction(self, tiny_study, timeout):
         with pytest.raises(InferenceError):
             _engine(tiny_study, task_timeout_s=timeout)
+
+    @pytest.mark.parametrize("budget", [
+        {"cache_max_entries": 0},
+        {"cache_max_entries": -3},
+        {"cache_max_entries": 2.5},
+        {"cache_max_bytes": True},
+        {"cache_max_bytes": 0},
+    ])
+    def test_bad_cache_budget_fails_at_construction(self, tiny_study, budget):
+        with pytest.raises(InferenceError):
+            _engine(tiny_study, **budget)
+        # The cache validates through the same check when built directly.
+        (name, value), = budget.items()
+        with pytest.raises(InferenceError):
+            StepResultCache(**{name.removeprefix("cache_"): value})
+
+    def test_good_budgets_accepted(self, tiny_study):
+        engine = _engine(
+            tiny_study, task_timeout_s=5, cache_max_entries=1,
+            cache_max_bytes=1 << 20)
+        assert engine.task_timeout_s == 5
+        assert engine.cache.max_entries == 1
+        _engine(tiny_study, task_timeout_s=0.5)
 
 
 # ------------------------------------------------------------------ #
@@ -200,7 +228,7 @@ class TestEngineValidation:
 @pytest.fixture(scope="module")
 def reference_outcome(tiny_study):
     """The fault-free serial schedule every chaos run must reproduce."""
-    engine = _engine(tiny_study, executor="serial")
+    engine = _engine(tiny_study)
     return engine.run(
         tiny_study.config.inference, tiny_study.studied_ixp_ids)
 
@@ -220,28 +248,12 @@ class TestRetryIntegration:
         plan = FaultPlan.for_tasks(
             [(config, victim, FaultSpec(FaultKind.EXCEPTION, attempts=(1, 2)))])
         slept: list[float] = []
-        engine = _engine(
-            tiny_study, executor="serial", fault_plan=plan, sleep=slept.append)
+        engine = _engine(tiny_study, fault_plan=plan, sleep=slept.append)
         outcome = engine.run(config, ixps)
         assert outcome == reference_outcome
         policy, digest = engine.retry_policy, task_digest(config, victim)
         assert slept == [policy.delay_s(digest, 1), policy.delay_s(digest, 2)]
         assert _events(engine) == [("retry", victim, 1), ("retry", victim, 2)]
-
-    def test_thread_retry_is_bit_identical(self, tiny_study, reference_outcome):
-        config = tiny_study.config.inference
-        ixps = tiny_study.studied_ixp_ids
-        plan = FaultPlan.for_tasks(
-            [(config, ixps[2], FaultSpec(FaultKind.EXCEPTION, attempts=(1,)))])
-        engine = _engine(
-            tiny_study, executor="thread", max_workers=2, fault_plan=plan,
-            sleep=lambda _s: None)
-        try:
-            outcome = engine.run(config, ixps)
-        finally:
-            engine.shutdown()
-        assert outcome == reference_outcome
-        assert _events(engine) == [("retry", ixps[2], 1)]
 
     def test_exhausted_policy_raises_and_shutdown_stays_idempotent(
         self, tiny_study
@@ -252,7 +264,7 @@ class TestRetryIntegration:
             [(config, ixps[0],
               FaultSpec(FaultKind.EXCEPTION, attempts=(1, 2, 3)))])
         engine = _engine(
-            tiny_study, executor="serial", fault_plan=plan,
+            tiny_study, fault_plan=plan,
             retry_policy=RetryPolicy(max_attempts=3), sleep=lambda _s: None)
         with pytest.raises(InjectedFaultError):
             engine.run(config, ixps)
@@ -266,45 +278,53 @@ class TestRetryIntegration:
 
 
 class TestTimeoutDemotion:
-    def test_thread_timeout_demotes_to_serial(
+    def test_process_timeout_demotes_to_serial(
         self, tiny_study, reference_outcome
     ):
         config = tiny_study.config.inference
         ixps = tiny_study.studied_ixp_ids
-        # A hung thread cannot be killed, only abandoned: keep the hang
-        # short so the pool joins promptly at shutdown.
+        # The first task collected hangs, so it is the one that times out;
+        # its worker is terminated with the retired pool.
         plan = FaultPlan.for_tasks(
             [(config, ixps[0],
-              FaultSpec(FaultKind.HANG, attempts=(1,), hang_s=1.5))])
+              FaultSpec(FaultKind.HANG, attempts=(1,), hang_s=60.0))])
         engine = _engine(
-            tiny_study, executor="thread", max_workers=2, fault_plan=plan,
-            task_timeout_s=0.25, sleep=lambda _s: None)
+            tiny_study, max_workers=2, fault_plan=plan,
+            task_timeout_s=HANG_TIMEOUT_S, sleep=lambda _s: None)
         try:
             with pytest.warns(ExecutorDegradedWarning):
                 outcome = engine.run(config, ixps)
+            stats = engine.executor_stats()
         finally:
             engine.shutdown()
         assert outcome == reference_outcome
         assert _events(engine) == [
             ("task-timeout", ixps[0], 1), ("executor-demotion", "scheduler", None)]
         detail = engine.resilience_events()[1].detail
-        assert detail.startswith("thread->serial")
+        assert detail.startswith("process->serial")
+        assert stats["pools_created"] == stats["pools_retired"] == 1
+        assert not stats["process_pool_live"]
 
     def test_timeout_exhaustion_raises_task_timeout_error(self, tiny_study):
         config = tiny_study.config.inference
         ixps = tiny_study.studied_ixp_ids
         plan = FaultPlan.for_tasks(
             [(config, ixps[0],
-              FaultSpec(FaultKind.HANG, attempts=(1,), hang_s=1.5))])
+              FaultSpec(FaultKind.HANG, attempts=(1,), hang_s=60.0))])
         engine = _engine(
-            tiny_study, executor="thread", max_workers=2, fault_plan=plan,
-            task_timeout_s=0.25, sleep=lambda _s: None,
+            tiny_study, max_workers=2, fault_plan=plan,
+            task_timeout_s=HANG_TIMEOUT_S, sleep=lambda _s: None,
             retry_policy=RetryPolicy(max_attempts=1))
         try:
             with pytest.raises(TaskTimeoutError):
                 engine.run(config, ixps)
+            # The hung pool is retired (its worker terminated) before the
+            # error propagates, so shutdown does not wait out the hang.
+            stats = engine.executor_stats()
         finally:
             engine.shutdown()
+        assert stats["pools_retired"] == 1
+        assert not stats["process_pool_live"]
 
 
 class TestCrashRecovery:
@@ -316,7 +336,7 @@ class TestCrashRecovery:
         plan = FaultPlan.for_tasks(
             [(config, ixps[0], FaultSpec(FaultKind.CRASH, attempts=(1,)))])
         engine = _engine(
-            tiny_study, executor="process", max_workers=2, fault_plan=plan,
+            tiny_study, max_workers=2, fault_plan=plan,
             sleep=lambda _s: None)
         try:
             outcome = engine.run(config, ixps)
@@ -342,7 +362,7 @@ class TestCrashRecovery:
         plan = FaultPlan.for_tasks(
             [(config, ixps[0], FaultSpec(FaultKind.CRASH, attempts=(1,)))])
         engine = _engine(
-            tiny_study, executor="process", max_workers=2, fault_plan=plan,
+            tiny_study, max_workers=2, fault_plan=plan,
             sleep=lambda _s: None)
         try:
             engine.run(config, ixps)
@@ -367,7 +387,7 @@ class TestCrashRecovery:
         plan = FaultPlan.for_tasks(
             [(config, victim, FaultSpec(FaultKind.PICKLE, attempts=(1,)))])
         engine = _engine(
-            tiny_study, executor="process", max_workers=2, fault_plan=plan,
+            tiny_study, max_workers=2, fault_plan=plan,
             sleep=lambda _s: None)
         try:
             outcome = engine.run(config, ixps)
@@ -404,7 +424,7 @@ class TestChaosEquivalence:
              FaultSpec(FaultKind.HANG, attempts=(2,), hang_s=60.0)),
         ])
         engine = _engine(
-            tiny_study, executor="process", max_workers=2, fault_plan=plan,
+            tiny_study, max_workers=2, fault_plan=plan,
             task_timeout_s=CHAOS_TIMEOUT_S, sleep=lambda _s: None)
         try:
             # Warm run under a config whose task digests differ (so no
@@ -439,15 +459,15 @@ class TestChaosEquivalence:
         assert (retry.context, retry.attempt) == (exceptional, 2)
         assert retry.detail == "InjectedFaultError"
         assert (timeout.context, timeout.attempt) == (hung, 2)
-        assert demotion.detail.startswith("process->thread")
-        # Two process pools (warm + post-crash rebuild) both retired, plus
-        # the thread pool the cascade demoted to.
-        assert stats["pools_created"] == 3
+        assert demotion.detail.startswith("process->serial")
+        # Two process pools (warm + post-crash rebuild), both retired; the
+        # serial rung needs no pool.
+        assert stats["pools_created"] == 2
         assert stats["pools_retired"] == 2
         assert stats["task_timeout_s"] == CHAOS_TIMEOUT_S
 
     def test_stats_surface_resilience_journal(self, tiny_study):
-        engine = _engine(tiny_study, executor="serial")
+        engine = _engine(tiny_study)
         stats = engine.executor_stats()
         assert stats["resilience"] == {"counts": {}, "events": ()}
         assert stats["pools_retired"] == 0

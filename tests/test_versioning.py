@@ -709,87 +709,3 @@ class TestEngineCrossRevisionReuse:
         for reused in ("step1", "step2", "step3", "step4", "traceroute", "baseline"):
             assert after[reused][1] == before[reused][1]
         assert after["step5"][1] == before["step5"][1] + 1
-
-
-class TestConcurrentLazyCreation:
-    """Build-once guarantees under a real thread pool (concurrency PR).
-
-    Regression tests for the two check-then-act windows the static
-    concurrency rule motivated closing: GenerationGuardedIndex's lazy build
-    and Versioned's lazy journal creation.  A barrier releases every worker
-    into the racy window at once, so a regression to unguarded
-    check-then-act has a realistic chance of double-building.
-    """
-
-    def test_guarded_index_builds_once_under_thread_pool_hammer(self):
-        from concurrent.futures import ThreadPoolExecutor
-        from threading import Barrier
-
-        from repro.versioning import GenerationGuardedIndex
-
-        workers = 8
-        index: GenerationGuardedIndex = GenerationGuardedIndex()
-        barrier = Barrier(workers)
-        builds: list[int] = []
-
-        def build() -> dict:
-            builds.append(1)
-            return {"payload": object()}
-
-        def hammer(_: int) -> dict:
-            barrier.wait()
-            return index.get(("gen", 1), build)
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(hammer, range(workers)))
-
-        assert len(builds) == 1, "token-stable concurrent gets must build once"
-        assert all(result is results[0] for result in results)
-        assert index.is_built
-
-    def test_guarded_index_rebuild_after_token_change_is_single(self):
-        from concurrent.futures import ThreadPoolExecutor
-        from threading import Barrier
-
-        from repro.versioning import GenerationGuardedIndex
-
-        workers = 8
-        index: GenerationGuardedIndex = GenerationGuardedIndex()
-        index.get(("gen", 1), lambda: {"stale": True})
-        barrier = Barrier(workers)
-        builds: list[int] = []
-
-        def rebuild() -> dict:
-            builds.append(1)
-            return {"fresh": True}
-
-        def hammer(_: int) -> dict:
-            barrier.wait()
-            return index.get(("gen", 2), rebuild)
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(hammer, range(workers)))
-
-        assert len(builds) == 1
-        assert all(result is results[0] for result in results)
-
-    def test_lazy_journal_creation_is_race_free(self):
-        from concurrent.futures import ThreadPoolExecutor
-        from threading import Barrier
-
-        workers = 8
-        for _ in range(20):
-            dataset = ObservedDataset()
-            barrier = Barrier(workers)
-
-            def journal_of(_: int) -> ChangeJournal:
-                barrier.wait()
-                return dataset.journal
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                journals = list(pool.map(journal_of, range(workers)))
-
-            first = journals[0]
-            assert all(journal is first for journal in journals), (
-                "concurrent lazy journal access must create exactly one "
-                "journal — a second one would silently drop changes")
